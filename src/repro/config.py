@@ -83,10 +83,6 @@ class RuntimeConfig:
     shmem_alpha: float = 2.0e-7
     shmem_beta: float = 2.0e-11
 
-    #: Message sizes at or below this go through shmem eagerly in a
-    #: single cell; larger ones stream through multiple cells.
-    shmem_eager_threshold: int = 16384
-
     # ------------------------------------------------------------------
     # Simulated offload (GPU-like) copy engine.
     # ------------------------------------------------------------------

@@ -258,10 +258,13 @@ class Comm:
         sync: bool = False,
     ) -> Request:
         """Nonblocking send (``sync=True`` gives MPI_Issend semantics)."""
-        self._check()
         world_dest = self._world_rank(dest)
         dst_vci = self.peer_vcis[dest]
         with self.stream.lock:
+            # Checked under the lock the revoke sweep takes: a post is
+            # either swept or sees the flag, never slips in behind it
+            # (a handshaking send posted there would wait forever).
+            self._check()
             req = self.proc.p2p.isend(
                 self.stream.vci,
                 world_dest,
@@ -285,11 +288,11 @@ class Comm:
         tag: int = ANY_TAG,
     ) -> Request:
         """Nonblocking receive."""
-        self._check()
         world_src = (
             ANY_SOURCE if source == ANY_SOURCE else self._world_rank(source)
         )
         with self.stream.lock:
+            self._check()  # under the sweep's lock, as in isend
             req = self.proc.p2p.irecv(
                 self.stream.vci, buf, count, datatype, world_src, tag, self.context_id
             )

@@ -62,7 +62,8 @@ class ProgressSnapshot:
     #: fault-injector counters; None on a perfect fabric
     faults: dict[str, int] | None = None
     #: buffer-pool + copy-path counters (pool hits/misses/outstanding,
-    #: per-rank staging copy bytes, shmem transport copy bytes)
+    #: per-rank staging copy bytes, shmem transport copy bytes, cells
+    #: pushed and descriptors posted)
     mem_pool: dict[str, Any] | None = None
     #: compiled-schedule plan cache counters (entries, hits, misses,
     #: builds, evictions, invalidations); None only if the proc
@@ -133,7 +134,10 @@ class ProgressSnapshot:
                 f"enabled={m['enabled']} hits={m['hits']} misses={m['misses']} "
                 f"outstanding={m['outstanding']} high_water={m['high_water']} "
                 f"recycled={m['bytes_recycled']}B free={m['free_bytes']}B "
-                f"copies={m['copy_bytes_total']}B"
+                f"copies={m['copy_bytes_total']}B "
+                f"shmem: copies={m['shmem_copy_bytes']}B "
+                f"cells={m['shmem_cells_pushed']} "
+                f"descriptors={m['shmem_descriptors']}"
             )
         if self.failure_detector is not None:
             d = self.failure_detector
@@ -199,9 +203,13 @@ def snapshot(proc: "Proc", pool: Any | None = None) -> ProgressSnapshot:
         )
     mem_pool = dict(proc.p2p.pool.stats())
     mem_pool["copy_bytes_total"] = sum(proc.p2p.stat_copy_bytes.values())
-    mem_pool["shmem_copy_bytes"] = (
-        proc.p2p.shmem.stat_copy_bytes if proc.p2p.shmem is not None else 0
-    )
+    shmem = proc.p2p.shmem
+    # World-wide shmem transport counters (exact): staging copies, cells
+    # pushed into rings, and how many of those were descriptors.
+    for key in ("copy_bytes", "cells_pushed", "descriptors"):
+        mem_pool[f"shmem_{key}"] = (
+            getattr(shmem, f"stat_{key}") if shmem is not None else 0
+        )
     return ProgressSnapshot(
         rank=proc.rank,
         # Engine counters are per-thread sharded (ShardedCounter);

@@ -183,6 +183,7 @@ class Proc:
                 self.finalized = True
                 return
             raise
+        self.p2p.drop_unexpected()  # parked payload leases go home
         self.finalized = True
 
     # ------------------------------------------------------------------

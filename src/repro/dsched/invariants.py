@@ -24,7 +24,12 @@ properties:
 Shmem cell accounting is checked at *quiescence* (run end) rather than
 per yield: instrumented transport locks legitimately expose transient
 negative in-flight counts mid-handoff (receiver popped a cell whose
-sender has not yet finished accounting it).
+sender has not yet finished accounting it).  At quiescence the count
+must equal the cells physically left in the rings, and — once nothing
+is in flight anywhere — every outstanding buffer-pool lease must be
+one a parked unexpected message holds: an eager snapshot or an on-node
+descriptor keeps exactly one reference from arrival until it is
+matched, swept (revoke, dead source) or dropped by finalize.
 """
 
 from __future__ import annotations
@@ -208,11 +213,40 @@ class InvariantMonitor:
             if world is None or world.shmem is None:
                 continue
             for addr, pending in world.shmem._cells_pending.items():
-                if pending < 0:
+                queued = world.shmem.cells_in_rings(addr)
+                if pending != queued:
                     raise ConservationError(
-                        f"shmem cells_pending[{addr}] = {pending} < 0 at "
-                        "quiescence: cell pushed/popped accounting leaked"
+                        f"shmem cells_pending[{addr}] = {pending} but "
+                        f"{queued} cells queued at quiescence: cell "
+                        "pushed/popped accounting leaked"
                     )
+            self._check_lease_balance(world)
+
+    @staticmethod
+    def _check_lease_balance(world: "World") -> None:
+        """Outstanding leases == leases parked on unexpected queues,
+        provided no other artifact can still hold one."""
+        states = [s for p in world.procs for s in p.p2p._vcis.values()]
+        if (
+            world.fabric.total_pending()
+            or any(world.shmem._cells_pending.values())
+            or any(world.shmem._sends.values())
+            or any(s.sends or s.recvs or s.rel is not None for s in states)
+        ):
+            return  # wire packets, cells or protocol entries hold references
+        parked = {
+            id(msg.lease)
+            for s in states
+            for msg in s.match.unexpected_entries()
+            if msg.lease is not None
+        }
+        outstanding = sum(p.p2p.pool.outstanding for p in world.procs)
+        if outstanding != len(parked):
+            raise ConservationError(
+                f"{outstanding} buffer-pool leases outstanding at quiescence "
+                f"but {len(parked)} held by parked unexpected messages: "
+                "a lease reference leaked"
+            )
 
     # ------------------------------------------------------------------
     # Deadlock formatting (scheduler supplies the thread table).

@@ -245,10 +245,25 @@ class UnexpectedQueue:
         rec = self._find(context_id, src, tag)
         if rec is None:
             return None
+        self._kill(rec)
+        return rec.entry
+
+    def remove(self, entry: Any) -> bool:
+        """Withdraw one specific queued arrival (sweeps); False when it
+        is no longer queued."""
+        for rec in self._order:
+            if rec.alive and rec.entry is entry:
+                self._kill(rec)
+                return True
+        return False
+
+    def _kill(self, rec: _Rec) -> None:
         rec.alive = False
         key = (rec.ctx, rec.src, rec.tag)
         bucket = self._exact[key]
-        _live_head(bucket)  # drop the (now dead) record and older tombstones
+        # Prune dead heads; a mid-bucket tombstone (``remove``) goes
+        # when the head reaches it.
+        _live_head(bucket)
         if not bucket:
             del self._exact[key]
         self._len -= 1
@@ -256,7 +271,6 @@ class UnexpectedQueue:
         if self._dead > self._len + _COMPACT_SLACK:
             self._order = [r for r in self._order if r.alive]
             self._dead = 0
-        return rec.entry
 
     def peek(self, context_id: int, src: int, tag: int) -> Any | None:
         """Like :meth:`match` but leaves the entry queued (MPI_Probe)."""
@@ -327,6 +341,12 @@ class MatchShard:
         """Pop a queued unexpected message (mprobe / revoke sweeps)."""
         with self._lock:
             return self.unexpected.match(context_id, src, tag)
+
+    def remove_unexpected(self, msg: Any) -> bool:
+        """Withdraw one specific unexpected message (revoke, dead-peer
+        and finalize sweeps)."""
+        with self._lock:
+            return self.unexpected.remove(msg)
 
     def peek_unexpected(self, context_id: int, src: int, tag: int) -> Any | None:
         """Inspect without consuming (MPI_Iprobe)."""

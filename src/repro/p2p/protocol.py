@@ -1,6 +1,7 @@
 """Point-to-point protocol state machines.
 
-Implements the four message modes of Fig. 1 over the two transports:
+Implements the four message modes of Fig. 1 over the two transports,
+plus the one on-node protocol that replaces the last two over shmem:
 
 =============  ==========================  =====================  ============
 mode           selected when (payload n)   sender wait blocks     Fig. 1 panel
@@ -9,7 +10,17 @@ BUFFERED       n <= buffered_threshold     0 (copy + inject)      (a)
 EAGER          n <= eager_threshold        1 (NIC completion)     (b)
 RENDEZVOUS     n <= rendezvous_threshold   2 (CTS, then data)     (c)
 PIPELINE       larger                      1 + one per chunk wave pipeline mode
+DESCRIPTOR     on-node, n > eager_thresh.  1 (receiver's rdone)   (c) minus CTS
+               (or Ssend of any size)
 =============  ==========================  =====================  ============
+
+DESCRIPTOR is receiver-driven single copy: the RTS itself carries the
+sender's stable payload view (user buffer, pack slab or ``bytes``) as
+one shmem cell; the receiver copies/unpacks once, straight into the
+user buffer at match time, and confirms with ``rdone``.  No CTS,
+``rdata`` or ``chunk`` packet ever crosses shmem — each would be one
+more stall on the peer's progress for bytes both ranks can already
+address.
 
 Wait blocks are *counted* on each request (``Request.wait_blocks``) so
 the anatomy of Fig. 1 is a measurable, testable property rather than a
@@ -83,6 +94,10 @@ class SendMode(enum.Enum):
     EAGER = "eager"
     RENDEZVOUS = "rendezvous"
     PIPELINE = "pipeline"
+    DESCRIPTOR = "descriptor"
+
+
+_EAGER_CLASS = (SendMode.BUFFERED, SendMode.EAGER)
 
 
 class SendEntry:
@@ -363,6 +378,7 @@ class P2PEngine:
         send_entry: "SendEntry | None" = None,
         recv_key: Any = None,
         lease: Any = None,
+        descriptor: bool = False,
     ):
         """Inject one packet via the chosen transport.
 
@@ -377,7 +393,8 @@ class P2PEngine:
         if via_shmem:
             assert self.shmem is not None
             return self.shmem.post_send(
-                src, dst, header, payload, context=context, lease=lease
+                src, dst, header, payload,
+                context=context, lease=lease, descriptor=descriptor,
             )
         if self._rel_on:
             return self._rel_send(
@@ -739,7 +756,14 @@ class P2PEngine:
                     entry.lease = None
                 entry.req.fail(self._proc_failed_exc(key[0][0]), ERR_PROC_FAILED)
                 made = True
-        # Active sends addressed at a dead destination.
+        # A parked RTS from a dead source can never be served: its
+        # descriptor view (or the CTS it asks for) belongs to a corpse.
+        for msg in state.match.unexpected_entries():
+            if msg.kind == "rts" and msg.src_addr[0] in dead:
+                self._drop_unexpected(state, msg)
+                made = True
+        # Active sends addressed at a dead destination (including ones
+        # parked on an rdone the corpse will never send).
         for msg_id, entry in list(state.sends.items()):
             if entry.dst_rank in dead:
                 state.sends.pop(msg_id, None)
@@ -822,12 +846,24 @@ class P2PEngine:
         for msg in state.match.unexpected_entries():
             header = msg.header
             if header["ctx"] in ctx_set and header["tag"] < FT_RESERVED_TAG:
-                popped = state.match.pop_unexpected(
-                    header["ctx"], header["src_rank"], header["tag"]
-                )
-                if popped is not None and popped.lease is not None:
-                    popped.lease.release()
-                    popped.lease = None
+                self._drop_unexpected(state, msg)
+
+    def _drop_unexpected(self, state: VciState, msg: "_UnexpectedMsg") -> None:
+        """Discard a parked arrival nothing can match anymore, giving
+        back the lease reference it held (exactly once: only the caller
+        that actually dequeues it releases)."""
+        if state.match.remove_unexpected(msg) and msg.lease is not None:
+            msg.lease.release()
+            msg.lease = None
+
+    def drop_unexpected(self) -> None:
+        """Finalize: this rank will post no more receives, so parked
+        pool-backed payloads (eager snapshots, pack-slab descriptors) go
+        back to their pools."""
+        for state in self._vcis.values():
+            for msg in state.match.unexpected_entries():
+                if msg.lease is not None:
+                    self._drop_unexpected(state, msg)
 
     def reliability_stats(self) -> dict[str, int]:
         """Aggregated ack/retransmit counters across this rank's VCIs."""
@@ -922,16 +958,19 @@ class P2PEngine:
         if dst_rank in self.known_dead:
             req.fail(self._proc_failed_exc(dst_rank), ERR_PROC_FAILED)
             return req
-        mode = SendMode.RENDEZVOUS if sync and nbytes <= self.config.rendezvous_threshold else self._select_mode(nbytes)
-        if sync and mode in (SendMode.BUFFERED, SendMode.EAGER):
-            mode = SendMode.RENDEZVOUS
+        mode = self._select_mode(nbytes)
+        if sync and mode in _EAGER_CLASS:
+            mode = SendMode.RENDEZVOUS  # completion must imply a match
+        use_shmem = self._shmem_route(dst_rank)
+        if use_shmem and mode not in _EAGER_CLASS:
+            mode = SendMode.DESCRIPTOR  # on-node: one protocol above eager
         entry = SendEntry(req, next(self._msg_ids), mode)
         entry.dst_rank = dst_rank
         entry.dst_vci = dst_vci
         entry.tag = tag
         entry.context_id = context_id
         entry.nbytes = nbytes
-        entry.use_shmem = self._shmem_route(dst_rank)
+        entry.use_shmem = use_shmem
 
         state = self.vci_state(vci)
 
@@ -1003,7 +1042,7 @@ class P2PEngine:
         lease: Any = None,
     ) -> None:
         zc = lease is None and isinstance(payload, memoryview)
-        if zc and entry.mode in (SendMode.BUFFERED, SendMode.EAGER):
+        if zc and entry.mode in _EAGER_CLASS:
             # Eager-class requests complete before the receiver reads
             # the payload, so the wire needs an owned snapshot: one
             # staging copy, pooled when big enough to be worth a slab.
@@ -1051,7 +1090,7 @@ class P2PEngine:
                 lease.release()
                 entry.lease = None
             entry.req.complete(count_bytes=entry.nbytes)
-        elif entry.mode in (SendMode.BUFFERED, SendMode.EAGER):
+        elif entry.mode in _EAGER_CLASS:
             header = dict(base_header, kind="eager")
             entry.req.add_wait_block()
             state.sends[entry.msg_id] = entry
@@ -1065,6 +1104,16 @@ class P2PEngine:
                 req=entry.req,
                 lease=lease,
             )
+        elif entry.mode is SendMode.DESCRIPTOR:
+            # The RTS carries the payload view itself; the only wait is
+            # for the receiver's rdone (it read the view, which must
+            # stay stable until then — user buffer or leased slab).
+            header = dict(base_header, kind="rts", nbytes=entry.nbytes, desc=True)
+            entry.req.add_wait_block()  # waiting for the rdone
+            state.sends[entry.msg_id] = entry
+            self._post(
+                vci, dst, header, payload, via_shmem=True, lease=lease, descriptor=True
+            )
         else:  # RENDEZVOUS or PIPELINE: RTS first.
             header = dict(
                 base_header,
@@ -1075,15 +1124,7 @@ class P2PEngine:
             )
             entry.req.add_wait_block()  # waiting for CTS
             state.sends[entry.msg_id] = entry
-            self._post(
-                vci,
-                dst,
-                header,
-                b"",
-                via_shmem=entry.use_shmem,
-                req=entry.req,
-                send_entry=entry,
-            )
+            self._post(vci, dst, header, b"", req=entry.req, send_entry=entry)
 
     def _handle_cts(self, vci: int, state: VciState, msg_id: int) -> None:
         entry = state.sends.get(msg_id)
@@ -1106,7 +1147,6 @@ class P2PEngine:
                     dst,
                     header,
                     entry.payload,
-                    via_shmem=entry.use_shmem,
                     req=entry.req,
                     send_entry=entry,
                 )
@@ -1119,7 +1159,6 @@ class P2PEngine:
                     header,
                     entry.payload,
                     context=("send_done", entry),
-                    via_shmem=entry.use_shmem,
                     req=entry.req,
                     lease=entry.lease,
                 )
@@ -1155,7 +1194,6 @@ class P2PEngine:
                 header,
                 chunk_payload,
                 context=("chunk_done", entry),
-                via_shmem=entry.use_shmem,
                 req=entry.req,
                 lease=entry.lease,
             )
@@ -1222,18 +1260,30 @@ class P2PEngine:
             req.add_wait_block()  # will wait for arrival
             return req
 
-        if msg.kind == "eager":
-            self._deliver_eager(entry, msg.header, msg.payload)
-            if msg.lease is not None:
-                msg.lease.release()  # payload consumed into the user buffer
-                msg.lease = None
-        else:  # rts arrived before the receive was posted
-            self._accept_rts(vci, state, entry, msg.src_addr, msg.header)
+        self._deliver_unexpected(vci, state, entry, msg)
         return req
 
-    def _deliver_eager(
-        self, entry: RecvEntry, header: dict[str, Any], payload: bytes
+    def _deliver_unexpected(
+        self, vci: int, state: VciState, entry: RecvEntry, msg: "_UnexpectedMsg"
     ) -> None:
+        """A receive claimed a parked arrival (irecv match or mrecv)."""
+        if msg.kind == "eager":
+            self._deliver(entry, msg.header, msg.payload)
+        else:  # rts arrived before the receive was posted
+            self._accept_rts(vci, state, entry, msg.src_addr, msg.header, msg.payload)
+        if msg.lease is not None:
+            msg.lease.release()  # payload consumed into the user buffer
+            msg.lease = None
+
+    def _deliver(
+        self,
+        entry: RecvEntry,
+        header: dict[str, Any],
+        payload: bytes | memoryview,
+        mode: str = "eager",
+    ) -> None:
+        """Copy/unpack a whole in-hand payload into the user buffer and
+        complete the receive (eager arrival or on-node descriptor)."""
         n = len(payload)
         error = 0
         if n > entry.capacity:
@@ -1254,7 +1304,7 @@ class P2PEngine:
         self.tracer.record(
             self.fabric.clock.now(),
             "recv_complete",
-            mode="eager",
+            mode=mode,
             msg_id=header["msg_id"],
             nbytes=n,
         )
@@ -1266,9 +1316,18 @@ class P2PEngine:
         entry: RecvEntry,
         src_addr: tuple[int, int],
         header: dict[str, Any],
+        payload: bytes | memoryview = b"",
     ) -> None:
-        """Matched an RTS: reply CTS and arm for incoming data."""
+        """Matched an RTS.  On-node it carried the payload view: copy
+        once and confirm with rdone.  Off-node: reply CTS and arm for
+        incoming data."""
         msg_id = header["msg_id"]
+        if header.get("desc"):
+            self._deliver(entry, header, payload, "descriptor")
+            self._post(
+                vci, src_addr, {"kind": "rdone", "msg_id": msg_id}, b"", via_shmem=True
+            )
+            return
         nbytes = header["nbytes"]
         entry.expected_bytes = nbytes
         entry.zc_reply = bool(header.get("zc"))
@@ -1283,7 +1342,6 @@ class P2PEngine:
                 entry.staging = bytearray(size)
         state.recvs[(src_addr, msg_id)] = entry
         entry.req.add_wait_block()  # waiting for the data
-        via_shmem = self._shmem_route(src_addr[0])
         self.tracer.record(
             self.fabric.clock.now(), "cts_sent", msg_id=msg_id, nbytes=nbytes
         )
@@ -1292,7 +1350,6 @@ class P2PEngine:
             src_addr,
             {"kind": "cts", "msg_id": msg_id},
             b"",
-            via_shmem=via_shmem,
             req=entry.req,
             recv_key=(src_addr, msg_id),
         )
@@ -1371,13 +1428,7 @@ class P2PEngine:
                 # Confirm consumption so the sender's rdone-gated
                 # request can complete (its chunks were live views of
                 # the user's buffer).
-                self._post(
-                    vci,
-                    src_addr,
-                    {"kind": "rdone", "msg_id": msg_id},
-                    b"",
-                    via_shmem=self._shmem_route(src_addr[0]),
-                )
+                self._post(vci, src_addr, {"kind": "rdone", "msg_id": msg_id}, b"")
 
     # ------------------------------------------------------------------
     # Probe / matched probe / cancel.
@@ -1415,14 +1466,7 @@ class P2PEngine:
             message.header["tag"],
             message.header["ctx"],
         )
-        state = self.vci_state(vci)
-        if message.kind == "eager":
-            self._deliver_eager(entry, message.header, message.payload)
-            if message.lease is not None:
-                message.lease.release()  # payload consumed into the user buffer
-                message.lease = None
-        else:  # rts
-            self._accept_rts(vci, state, entry, message.src_addr, message.header)
+        self._deliver_unexpected(vci, self.vci_state(vci), entry, message)
         return req
 
     def iprobe(
@@ -1558,28 +1602,22 @@ class P2PEngine:
             if win is not None:
                 win.handle_packet(self, vci, packet)
             return False
-        if kind == "eager":
+        if kind == "eager" or kind == "rts":
             # One shard critical section: match-posted-else-add must be
-            # atomic or a concurrent irecv could miss this arrival.
+            # atomic or a concurrent irecv could miss this arrival.  A
+            # parked RTS keeps its descriptor view (and lease) with it.
             entry = state.match.arrival_match_or_add(
                 header["ctx"],
                 header["src_rank"],
                 header["tag"],
-                _UnexpectedMsg("eager", packet.src, header, packet.payload, packet.lease),
+                _UnexpectedMsg(kind, packet.src, header, packet.payload, packet.lease),
             )
-            if entry is not None:
-                self._deliver_eager(entry, header, packet.payload)
-                return False
-            return True
-        if kind == "rts":
-            entry = state.match.arrival_match_or_add(
-                header["ctx"],
-                header["src_rank"],
-                header["tag"],
-                _UnexpectedMsg("rts", packet.src, header, b""),
-            )
-            if entry is not None:
-                self._accept_rts(vci, state, entry, packet.src, header)
+            if entry is None:
+                return True
+            if kind == "eager":
+                self._deliver(entry, header, packet.payload)
+            else:
+                self._accept_rts(vci, state, entry, packet.src, header, packet.payload)
         elif kind == "cts":
             self._handle_cts(vci, state, header["msg_id"])
         elif kind == "rdata":
@@ -1591,17 +1629,13 @@ class P2PEngine:
                 # Always confirm — even for a stale entry — so the
                 # sender's rdone-gated request cannot hang.
                 self._post(
-                    vci,
-                    packet.src,
-                    {"kind": "rdone", "msg_id": header["msg_id"]},
-                    b"",
-                    via_shmem=self._shmem_route(packet.src[0]),
+                    vci, packet.src, {"kind": "rdone", "msg_id": header["msg_id"]}, b""
                 )
         elif kind == "rdone":
             entry = state.sends.get(header["msg_id"])
             if entry is not None:
                 entry.rdone_received = True
-                if entry.mode is SendMode.RENDEZVOUS or (
+                if entry.mode is not SendMode.PIPELINE or (
                     entry.chunks_done >= entry.total_chunks
                     and entry.inflight_chunks == 0
                 ):

@@ -27,6 +27,11 @@ class Cell:
     the buffer-pool lease backing the view — each pushed cell holds one
     reference, released (or transferred to the reassembled packet) when
     the cell is popped.
+
+    A *descriptor* cell is the degenerate case: its ``payload`` is the
+    sender's whole stable view, whatever its size — nothing is copied
+    into the cell, so ``shmem_cell_size`` does not bound it and the
+    receiver copies from the view once, straight into the user buffer.
     """
 
     msg_id: int

@@ -1,9 +1,17 @@
-"""Shared-memory transport: chunked sends over bounded cell rings.
+"""Shared-memory transport: bounded cell rings plus descriptor cells.
 
 Presents the same interface shape as a netmod endpoint — ``post_send``
 returning an op handle, plus per-address progress yielding completions
 and whole reassembled packets — so the p2p protocol layer is transport
 agnostic.
+
+Two kinds of traffic share each ring.  Buffered/eager snapshots (and
+RMA staging) are *copied through* cells: chunked at ``shmem_cell_size``,
+flow-controlled by the ring, reassembled at the receiver.  A
+*descriptor* (``post_send(..., descriptor=True)``) is a stable view the
+receiver will copy from exactly once; it copies no bytes into the cell,
+so it rides as one cell regardless of size — chunking a view buys only
+flow-control stalls (one sender<->receiver handoff per ring refill).
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ class ShmemOp:
         "final_deadline",
         "nbytes",
         "lease",
+        "cell_size",
     )
 
     def __init__(
@@ -51,7 +60,8 @@ class ShmemOp:
         header: dict[str, Any],
         payload: bytes | memoryview,
         context: Any,
-        lease: Any = None,
+        lease: Any,
+        cell_size: int,
     ) -> None:
         self.op_id = op_id
         self.dst = dst
@@ -67,6 +77,9 @@ class ShmemOp:
         #: reference until it completes (not-yet-pushed tail bytes are
         #: still read from the slab), each pushed cell holds its own.
         self.lease = lease
+        #: bytes per cell: ``shmem_cell_size``, or the whole payload
+        #: for a descriptor
+        self.cell_size = cell_size
 
     @property
     def all_pushed(self) -> bool:
@@ -120,6 +133,10 @@ class ShmemTransport:
         #: slices of bytes payloads, multi-chunk join fallbacks) — the
         #: copies the zero-copy cell path exists to eliminate.
         self.stat_copy_bytes = 0
+        #: cells pushed into rings / descriptor sends posted; exact
+        #: (updated under the transport lock).
+        self.stat_cells_pushed = 0
+        self.stat_descriptors = 0
         #: in-flight (pushed, not yet popped) cell counts per destination
         #: address; incremented under the lock as chunks enter a ring and
         #: batch-decremented by the receiver's progress, so ``has_work``
@@ -166,6 +183,11 @@ class ShmemTransport:
 
         return probe
 
+    def cells_in_rings(self, addr: tuple[int, int]) -> int:
+        """Cells physically queued toward ``addr`` (walks its inbound
+        rings; the quiescence check compares it to ``_cells_pending``)."""
+        return sum(ch.pending() for ch in self._inbound.get(addr, ()))
+
     # ------------------------------------------------------------------
     # Send side.
     # ------------------------------------------------------------------
@@ -178,8 +200,11 @@ class ShmemTransport:
         *,
         context: Any = None,
         lease: Any = None,
+        descriptor: bool = False,
     ) -> ShmemOp:
-        """Start a (possibly chunked) shmem send from ``src`` to ``dst``.
+        """Start a shmem send from ``src`` to ``dst``: chunked through
+        cells, or — ``descriptor=True`` — one cell carrying the whole
+        payload view for the receiver to copy from.
 
         ``bytes``/``memoryview`` payloads are NOT copied — immutability,
         the accompanying ``lease``, or the protocol's receiver-confirmed
@@ -191,35 +216,43 @@ class ShmemTransport:
             self.stat_copy_bytes += len(payload)
         if lease is not None:
             lease.retain()
-        op = ShmemOp(next(self._op_counter), dst, dict(header), payload, context, lease)
+        cell_size = len(payload) if descriptor else self.config.shmem_cell_size
+        op = ShmemOp(
+            next(self._op_counter), dst, dict(header), payload, context, lease, cell_size
+        )
         with self._lock:
             self._sends.setdefault(src, []).append(op)
+            if descriptor:
+                self.stat_descriptors += 1
         self._push_chunks(src, op)
         return op
 
-    def _push_chunks(self, src: tuple[int, int], op: ShmemOp) -> None:
-        """Push as many chunks as ring space allows.
+    def _push_chunks(self, src: tuple[int, int], op: ShmemOp) -> int:
+        """Push as many chunks as ring space allows; returns how many.
 
         ``memoryview`` payloads chunk into zero-copy subviews sharing
         ``op.payload`` as their base; ``bytes`` payloads chunk by
-        slicing (a copy per multi-chunk slice, counted).
+        slicing (a copy per multi-chunk slice, counted).  A full ring
+        costs one length read: no cell, clock read or lease traffic.
         """
-        cfg = self.config
         ch = self._channel(src, op.dst)
-        cell_size = cfg.shmem_cell_size
+        free = ch.free_cells()  # SPSC: only this producer shrinks it
+        if free <= 0:
+            return 0  # backpressure: retry from shmem progress
+        cfg = self.config
+        lease = op.lease
         is_view = isinstance(op.payload, memoryview)
-        while True:
-            if op.chunk_index > 0 and op.offset >= op.nbytes:
-                return  # fully pushed
-            end = min(op.offset + cell_size, op.nbytes)
+        now = self.clock.now()
+        pushed = 0
+        while pushed < free:  # callers only pass ops with chunks left
+            end = min(op.offset + op.cell_size, op.nbytes)
             chunk = op.payload[op.offset : end]
             if not is_view and (op.offset > 0 or end < op.nbytes):
                 self.stat_copy_bytes += len(chunk)
             is_last = end >= op.nbytes
-            now = self.clock.now()
             ready = now + cfg.shmem_alpha + len(chunk) * cfg.shmem_beta
-            if op.lease is not None:
-                op.lease.retain()
+            if lease is not None:
+                lease.retain()
             cell = Cell(
                 msg_id=op.op_id,
                 chunk_index=op.chunk_index,
@@ -228,14 +261,13 @@ class ShmemTransport:
                 payload=chunk,
                 ready_time=ready,
                 base=op.payload if is_view else None,
-                lease=op.lease,
+                lease=lease,
             )
-            if not ch.try_send_cell(cell):
-                if op.lease is not None:
-                    op.lease.release()
-                return  # backpressure: retry from shmem progress
-            with self._lock:
-                self._cells_pending[op.dst] = self._cells_pending.get(op.dst, 0) + 1
+            if not ch.try_send_cell(cell):  # unreachable for an SPSC producer
+                if lease is not None:
+                    lease.release()
+                break
+            pushed += 1
             op.offset = end
             op.chunk_index += 1
             if is_last:
@@ -243,7 +275,35 @@ class ShmemTransport:
                 # Attributed to the sender: its shmem progress completes
                 # the op when the final cell's copy matures.
                 _timers.post(self.clock, ready, src[0], src[1], "shm_tx")
-                return
+                break
+        with self._lock:
+            self._cells_pending[op.dst] = self._cells_pending.get(op.dst, 0) + pushed
+            self.stat_cells_pushed += pushed
+        return pushed
+
+    def _reassemble(self, src: tuple[int, int], cell: Cell):
+        """Account one cell of a multi-cell message; returns ``(header,
+        payload)`` once the last cell arrived, else None (the cell's
+        lease reference is dropped — only the last one travels on)."""
+        key = (src, cell.msg_id)
+        if cell.chunk_index == 0:
+            reasm = self._reassembly[key] = _Reassembly(src, cell.header)
+            reasm.base = cell.base
+        else:
+            reasm = self._reassembly[key]
+            if cell.base is not reasm.base:
+                reasm.base = None  # mixed bases: join fallback
+        reasm.chunks.append(cell.payload)
+        if not cell.is_last:
+            if cell.lease is not None:
+                cell.lease.release()
+            return None
+        del self._reassembly[key]
+        # No copy when the cells were contiguous subviews of one base.
+        if reasm.base is not None:
+            return reasm.header, reasm.base
+        self.stat_copy_bytes += sum(map(len, reasm.chunks))
+        return reasm.header, b"".join(reasm.chunks)
 
     # ------------------------------------------------------------------
     # Progress.
@@ -277,13 +337,9 @@ class ShmemTransport:
         # Sender side: push queued chunks, harvest completions.
         sends = self._sends.get(addr)
         if sends:
-            still: list[ShmemOp] = []
             for op in sends:
-                if not op.all_pushed:
-                    before = op.offset
-                    self._push_chunks(addr, op)
-                    if op.offset != before:
-                        made = True
+                if not op.all_pushed and self._push_chunks(addr, op):
+                    made = True
                 if (
                     op.all_pushed
                     and op.final_deadline is not None
@@ -293,10 +349,10 @@ class ShmemTransport:
                     completions.append(op)
                     if op.lease is not None:
                         op.lease.release()  # pushed cells hold their own refs
-                else:
-                    still.append(op)
-            with self._lock:
-                self._sends[addr] = still
+            if completions:
+                made = True
+                with self._lock:
+                    self._sends[addr] = [op for op in sends if not op.completed]
 
         # Receiver side: drain ready cells from every inbound channel.
         popped = 0
@@ -308,46 +364,27 @@ class ShmemTransport:
                     break
                 popped += 1
                 budget -= 1
-                made = True
-                key = (ch.src, cell.msg_id)
-                if cell.chunk_index == 0:
-                    reasm = _Reassembly(ch.src, cell.header)
-                    reasm.base = cell.base
-                    self._reassembly[key] = reasm
+                if cell.chunk_index == 0 and cell.is_last:
+                    header, payload = cell.header, cell.payload
                 else:
-                    reasm = self._reassembly[key]
-                    if cell.base is not reasm.base:
-                        reasm.base = None  # mixed bases: join fallback
-                reasm.chunks.append(cell.payload)
-                if not cell.is_last:
-                    if cell.lease is not None:
-                        cell.lease.release()
-                    continue
-                del self._reassembly[key]
-                # Reassemble without copying when possible: the cells
-                # of one message are contiguous subviews of one base
-                # (zero-copy), or a single bytes chunk.  The last
-                # cell's lease reference transfers to the packet.
-                if reasm.base is not None:
-                    payload = reasm.base
-                elif len(reasm.chunks) == 1:
-                    payload = reasm.chunks[0]
-                else:
-                    payload = b"".join(reasm.chunks)
-                    self.stat_copy_bytes += len(payload)
+                    whole = self._reassemble(ch.src, cell)
+                    if whole is None:
+                        continue
+                    header, payload = whole
+                # The last (or only) cell's lease reference transfers
+                # to the packet.
                 packets.append(
                     Packet(
                         src=ch.src,
                         dst=addr,
-                        header=reasm.header,
+                        header=header,
                         payload=payload,
                         seq=cell.msg_id,
                         lease=cell.lease,
                     )
                 )
         if popped:
+            made = True
             with self._lock:
                 self._cells_pending[addr] = self._cells_pending.get(addr, 0) - popped
-        if completions:
-            made = True
         return completions, packets, made

@@ -180,6 +180,43 @@ class TestConservation:
             with pytest.raises(ConservationError, match="cells_pending"):
                 sched.run(30.0)
 
+    @pytest.mark.parametrize("leak", [False, True])
+    def test_lease_balance_at_quiescence(self, leak):
+        """A parked unexpected descriptor legitimately holds one lease
+        reference (until matched, swept or finalized); any other
+        outstanding lease in a drained world is a leak."""
+        import numpy as np
+
+        import repro
+        from repro.config import RuntimeConfig
+
+        strided = repro.vector(4, 1, 2, repro.BYTE).commit()
+        sched = DetScheduler(0)
+        with sched:
+            def worker():
+                cfg = RuntimeConfig(ranks_per_node=2, eager_threshold=64)
+                world = World(2, clock=sched.clock, config=cfg)
+                p0, p1 = world.proc(0), world.proc(1)
+                src = np.arange(64 * strided.extent, dtype="u1")
+                p0.comm_world.isend(src, 64, strided, 1, 0)  # parks at rank 1
+                while world.shmem.has_work((0, 0)) or world.shmem.has_work((1, 0)):
+                    if not (p0.stream_progress() | p1.stream_progress()):
+                        sched.clock.advance(1e-6)
+                assert len(p1.p2p.vci_state(0).unexpected) == 1
+                # sender state retired by hand: only the parked slab is out
+                entry = p0.p2p.vci_state(0).sends.popitem()[1]
+                entry.lease.release()
+                assert p0.p2p.pool.outstanding == 1
+                if leak:
+                    p1.p2p.pool.acquire(512)
+
+            sched.spawn(worker, name="w")
+            if leak:
+                with pytest.raises(ConservationError, match="lease"):
+                    sched.run(30.0)
+            else:
+                sched.run(30.0)
+
     def test_real_traffic_balances(self):
         """A world doing actual sends passes every conservation check."""
         import repro

@@ -11,6 +11,7 @@ eager netmod   1 (pooled snapshot)      >= 1
 eager shmem    1 (pooled snapshot)      >= 1
 rendezvous     0 (zero-copy + rdone)    >= 1
 pipeline       0 (zero-copy + rdone)    >= 2 (slices)
+large shmem    0 (descriptor + rdone)   1 (the snapshot)
 =============  =======================  ================
 """
 
@@ -80,14 +81,14 @@ class TestCopiesPerMessagePoolOff:
 
 class TestShmemTransportCopies:
     def test_pool_on_large_shmem_message_avoids_join(self):
-        """Multi-cell shmem messages reassemble as a base view (no
-        join) when the payload rides a pool slab or user view."""
+        """A large on-node message is a descriptor: the user view
+        rides one cell, so there is nothing to slice or join."""
         cfg = dict(
             _THRESHOLDS, use_shmem=True, ranks_per_node=2, buffer_pool_enabled=True
         )
         world = make_vworld(2, **cfg)
         p0, p1 = world.proc(0), world.proc(1)
-        n = 4096  # rendezvous over shmem: several cells
+        n = 4096  # above eager: one descriptor cell + the rdone
         data = np.arange(n, dtype="u1")
         out = np.zeros(n, dtype="u1")
         rreq = p1.comm_world.irecv(out, n, repro.BYTE, 0, 0)
@@ -95,7 +96,15 @@ class TestShmemTransportCopies:
         drive(world, [sreq, rreq])
         assert np.array_equal(out, data)
         assert world.shmem.stat_copy_bytes == 0
+        assert world.shmem.stat_cells_pushed == 2
         world.finalize()
+
+    def test_large_shmem_copies_per_message(self):
+        """Pool on: zero staging copies.  Pool off: exactly the one
+        snapshot isend takes — no per-cell slices, no join."""
+        for n in (4096, 3 * 8192):
+            assert _run(n, pool_on=True, use_shmem=True) == 0
+            assert _run(n, pool_on=False, use_shmem=True) == n
 
 
 class TestIntrospection:
@@ -115,6 +124,26 @@ class TestIntrospection:
         assert snap.mem_pool["copy_bytes_total"] == 512
         assert snap.endpoints[0]["copy_bytes"] == 512
         assert "buffer pool" in snap.format_report()
+        # no shmem transport in this world: its counters read zero
+        assert snap.mem_pool["shmem_cells_pushed"] == 0
+        assert snap.mem_pool["shmem_descriptors"] == 0
+        world.finalize()
+
+    def test_snapshot_reports_shmem_cells_and_descriptors(self):
+        from repro.core.introspect import snapshot
+
+        world = make_vworld(2, **_THRESHOLDS, ranks_per_node=2)
+        p0, p1 = world.proc(0), world.proc(1)
+        for nbytes, cells, descriptors in ((512, 1, 0), (100_000, 3, 1)):
+            out = np.zeros(nbytes, dtype="u1")
+            rreq = p1.comm_world.irecv(out, nbytes, repro.BYTE, 0, 0)
+            sreq = p0.comm_world.isend(out.copy(), nbytes, repro.BYTE, 1, 0)
+            drive(world, [sreq, rreq])
+            mem = snapshot(p0).mem_pool
+            assert mem["shmem_cells_pushed"] == cells  # eager 1, then +2
+            assert mem["shmem_descriptors"] == descriptors
+            assert mem["shmem_copy_bytes"] == 0
+        assert "descriptors=1" in snapshot(p1).format_report()
         world.finalize()
 
 

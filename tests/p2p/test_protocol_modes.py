@@ -2,6 +2,12 @@
 
 Thresholds in these tests: buffered <= 64 < eager <= 1024 <
 rendezvous <= 8192 < pipeline (chunk 2048).
+
+The first classes pin the NIC route (``use_shmem=False``);
+``TestAnatomyByRoute`` runs the same anatomy over both routes, and
+``TestOnNodePackets`` pins what may cross shmem at all: on-node,
+everything above eager is ONE protocol (a descriptor-carrying RTS and
+the receiver's rdone), so the sender has one wait block at any size.
 """
 
 import numpy as np
@@ -21,6 +27,13 @@ def small_world(**kw):
     )
     defaults.update(kw)
     return make_vworld(2, **defaults)
+
+
+def routed_world(route, **kw):
+    """`small_world` over the NIC ("netmod") or on-node ("shmem") route."""
+    if route == "shmem":
+        kw.update(use_shmem=True, ranks_per_node=2)
+    return small_world(**kw)
 
 
 def send_recv(world, nbytes, *, post_recv_first=True, sync=False):
@@ -172,3 +185,95 @@ class TestPipelineIntegrity:
             if not made:
                 world.clock.idle_advance()
         assert max_seen <= 2
+
+
+#: sender wait blocks by payload size.  NIC route: Fig. 1 (pipeline
+#: sizes are "> 2", checked separately).  On-node: buffered 0, eager
+#: 1, and ONE for everything larger — the rdone — whatever the size.
+SENDER_WAIT_BLOCKS = {
+    "netmod": {32: 0, 512: 1, 4096: 2},
+    "shmem": {32: 0, 512: 1, 4096: 1, 10_000: 1, 100_001: 1},
+}
+
+
+@pytest.mark.parametrize("route", ["netmod", "shmem"])
+class TestAnatomyByRoute:
+    def test_sender_wait_blocks(self, route):
+        for nbytes, blocks in SENDER_WAIT_BLOCKS[route].items():
+            for first in (True, False):
+                sreq, _ = send_recv(
+                    routed_world(route), nbytes, post_recv_first=first
+                )
+                assert sreq.wait_blocks == blocks, (nbytes, first)
+
+    def test_buffered_completes_at_post_eager_and_large_do_not(self, route):
+        import repro
+
+        for nbytes, done in ((16, True), (512, False), (4096, False)):
+            world = routed_world(route)
+            data = np.zeros(nbytes, dtype="u1")
+            sreq = world.proc(0).comm_world.isend(data, nbytes, repro.BYTE, 1, 0)
+            assert sreq.is_complete() is done, nbytes
+
+    def test_large_recv_wait_blocks(self, route):
+        """Posted first: the arrival wait, plus (NIC only) the data
+        wait.  Unexpected: the NIC still waits for data after its CTS;
+        on-node the parked descriptor IS the data — zero waits."""
+        posted, unexpected = {"netmod": (2, 1), "shmem": (1, 0)}[route]
+        _, rreq = send_recv(routed_world(route), 4096, post_recv_first=True)
+        assert rreq.wait_blocks == posted
+        _, rreq = send_recv(routed_world(route), 4096, post_recv_first=False)
+        assert rreq.wait_blocks == unexpected
+
+    @pytest.mark.parametrize("nbytes", [0, 8, 512, 4096])
+    def test_ssend_completes_only_after_match(self, route, nbytes):
+        import repro
+
+        world = routed_world(route)
+        p0, p1 = world.proc(0), world.proc(1)
+        data = np.arange(nbytes, dtype="u1")
+        out = np.zeros(nbytes, dtype="u1")
+        sreq = p0.comm_world.isend(data, nbytes, repro.BYTE, 1, 0, sync=True)
+        for _ in range(50):
+            world.clock.idle_advance()
+            p0.stream_progress()
+            p1.stream_progress()
+        assert not sreq.is_complete()  # arrived, parked, but unmatched
+        rreq = p1.comm_world.irecv(out, nbytes, repro.BYTE, 0, 0)
+        drive(world, [sreq, rreq])
+        assert np.array_equal(out, data)
+        assert rreq.status.count_bytes == nbytes
+
+    @pytest.mark.parametrize("nbytes", [1025, 8193, 65_536, 100_001])
+    def test_large_payload_integrity(self, route, nbytes):
+        send_recv(routed_world(route), nbytes)
+        send_recv(routed_world(route), nbytes, post_recv_first=False)
+
+
+class TestOnNodePackets:
+    def test_no_handshake_or_data_packet_crosses_shmem(self):
+        """Every packet posted over shmem is eager, a descriptor RTS or
+        an rdone: never rts-then-cts, rdata or chunk."""
+        world = routed_world("shmem")
+        seen = []
+        for proc in world.procs:
+            real = proc.p2p._post
+
+            def spy(vci, dst, header, payload, *, _real=real, **kw):
+                if kw.get("via_shmem"):
+                    seen.append((header["kind"], bool(header.get("desc"))))
+                return _real(vci, dst, header, payload, **kw)
+
+            proc.p2p._post = spy
+        for nbytes in (0, 32, 512, 1025, 4096, 8193, 100_001):
+            for first in (True, False):
+                for sync in (False, True):
+                    send_recv(world, nbytes, post_recv_first=first, sync=sync)
+        kinds = {kind for kind, _ in seen}
+        assert kinds == {"eager", "rts", "rdone"}
+        assert all(desc for kind, desc in seen if kind == "rts")
+        # ... and nothing on-node leaked onto the NIC route instead.
+        assert world.fabric.conservation_counts()["posted"] == 0
+        large = sum(1 for kind, _ in seen if kind == "rts")
+        assert world.shmem.stat_descriptors == large
+        assert sum(1 for kind, _ in seen if kind == "rdone") == large

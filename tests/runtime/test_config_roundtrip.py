@@ -63,6 +63,19 @@ class TestDrift:
         with pytest.raises(ValueError, match="procmod_warp_drive"):
             RuntimeConfig.from_dict(d)
 
+    def test_deleted_knob_is_drift(self):
+        """``shmem_eager_threshold`` was read nowhere and is gone: the
+        on-node eager/large boundary is ``eager_threshold``.  A dict
+        from a serializer that still ships the key must fail loudly."""
+        from dataclasses import fields
+
+        assert len(fields(RuntimeConfig)) == 57
+        d = DEFAULT_CONFIG.to_dict()
+        assert "shmem_eager_threshold" not in d
+        d["shmem_eager_threshold"] = 16384
+        with pytest.raises(ValueError, match="shmem_eager_threshold"):
+            RuntimeConfig.from_dict(d)
+
     def test_missing_keys_take_defaults(self):
         """An older serializer's dict (fewer fields) must still load."""
         back = RuntimeConfig.from_dict({"eager_threshold": 2048})

@@ -150,3 +150,87 @@ class TestShmemTransport:
         clock.advance_to(op.final_deadline)
         comps, _, _ = transport.progress(A)
         assert comps == [op]
+
+
+class _CountingLease:
+    """Stands in for a pool lease: counts reference traffic."""
+
+    def __init__(self):
+        self.retains = self.releases = 0
+
+    def retain(self):
+        self.retains += 1
+
+    def release(self):
+        self.releases += 1
+
+
+class TestDescriptor:
+    def test_descriptor_is_one_cell_whatever_its_size(self):
+        """A descriptor copies nothing into the cell, so cell size and
+        ring depth do not bound it: 1000 bytes cross a 2 x 4-byte ring
+        as one cell, one timer, zero copies, the receiver seeing the
+        sender's own memory."""
+        transport, clock = make_transport(cell_size=4, num_cells=2)
+        buf = bytearray(range(256)) * 4
+        view = memoryview(buf)[:1000].toreadonly()
+        op = transport.post_send(A, B, {"kind": "rts"}, view, descriptor=True)
+        assert op.all_pushed
+        assert op.final_deadline == pytest.approx(1e-6)
+        assert transport.stat_cells_pushed == 1
+        assert transport.stat_descriptors == 1
+        assert transport.cells_in_rings(B) == 1
+        clock.advance(1.0)
+        _, packets, _ = transport.progress(B)
+        assert len(packets) == 1
+        assert packets[0].payload.obj is buf and len(packets[0].payload) == 1000
+        assert transport.stat_copy_bytes == 0
+        assert transport.cells_in_rings(B) == 0
+
+    def test_descriptor_cost_model_scales_with_bytes(self):
+        cfg = RuntimeConfig(shmem_alpha=1e-6, shmem_beta=1e-9)
+        transport = ShmemTransport(VirtualClock(), cfg)
+        op = transport.post_send(A, B, {}, bytes(1 << 20), descriptor=True)
+        assert op.final_deadline == pytest.approx(1e-6 + (1 << 20) * 1e-9)
+
+    def test_empty_descriptor(self):
+        transport, clock = make_transport()
+        transport.post_send(A, B, {"kind": "rts"}, b"", descriptor=True)
+        clock.advance(1.0)
+        _, packets, _ = transport.progress(B)
+        assert [p.payload for p in packets] == [b""]
+
+    def test_cells_pushed_counts_every_chunk(self):
+        transport, clock = make_transport(cell_size=4, num_cells=8)
+        transport.post_send(A, B, {}, b"0123456789")  # 3 cells
+        transport.post_send(A, B, {}, b"x")
+        assert transport.stat_cells_pushed == 4
+        assert transport.stat_descriptors == 0
+
+
+class TestBackpressureIsFree:
+    def test_full_ring_retry_touches_no_lease_and_builds_no_cell(self, monkeypatch):
+        transport, clock = make_transport(cell_size=4, num_cells=2)
+        lease = _CountingLease()
+        op = transport.post_send(A, B, {}, bytes(range(24)), lease=lease)
+        assert not op.all_pushed and transport.cells_in_rings(B) == 2
+        before = (lease.retains, lease.releases, transport.stat_cells_pushed)
+        built = []
+        monkeypatch.setattr(
+            "repro.shmem.transport.Cell", lambda **kw: built.append(kw)
+        )
+        for _ in range(5):  # receiver never drains: every pass is a retry
+            _, _, made = transport.progress(A)
+            assert not made
+        assert not built
+        assert (lease.retains, lease.releases, transport.stat_cells_pushed) == before
+
+    def test_send_list_rewritten_only_when_an_op_retires(self):
+        transport, clock = make_transport()
+        transport.post_send(A, B, {}, b"abcd")
+        sends = transport._sends[A]
+        transport.progress(A)  # copy deadline not reached: nothing retires
+        assert transport._sends[A] is sends
+        clock.advance(1.0)
+        comps, _, _ = transport.progress(A)
+        assert len(comps) == 1 and transport._sends[A] == []
