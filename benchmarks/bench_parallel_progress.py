@@ -11,12 +11,10 @@ Measurements, recorded to ``BENCH_parallel_progress.json``:
   with and without the stream registered in a pool, in the same run, so
   the comparison against the ``BENCH_progress_fastpath.json`` baseline
   is machine-independent.  The pool must not tax the unsharded case.
-* locked vs lock-free column — both sweeps run once with the locked
-  hot paths (``lockfree="off"``) and once with the SPSC/sharded ones
-  (``lockfree="on"``).  The recorded ``runtime`` block says which
-  interpreter produced the numbers: CI runs this file on a GIL 3.11 leg
-  AND a free-threaded 3.13t (``PYTHON_GIL=0``) leg, and the gil-on vs
-  gil-off comparison is made across those two JSON artifacts.
+* the recorded ``runtime`` block says which interpreter produced the
+  numbers: CI runs this file on a GIL 3.11 leg AND a free-threaded
+  3.13t (``PYTHON_GIL=0``) leg, and the gil-on vs gil-off comparison is
+  made across those two JSON artifacts.
 
 Run standalone with ``--smoke`` for a seconds-long CI sanity sweep
 (reduced sizes, asserts the same shapes, writes no JSON).
@@ -31,91 +29,57 @@ from repro.bench import (
 )
 
 WORKERS = [1, 2, 4]
-MODES = ("off", "on")  # locked vs lock-free hot paths
 
 
-def _check(scaling_rows, idle, *, min_scaling, max_ratio, mode="off"):
+def _check(scaling_rows, idle, *, min_scaling, max_ratio):
     rate = {row["workers"]: row["completions_per_s"] for row in scaling_rows}
     scaling = rate[max(rate)] / rate[1]
     assert scaling >= min_scaling, (
-        f"pool scaling ({mode}) {scaling:.2f}x below {min_scaling}x: "
-        f"{scaling_rows}"
+        f"pool scaling {scaling:.2f}x below {min_scaling}x: {scaling_rows}"
     )
     assert idle["ratio"] <= max_ratio, (
-        f"pool-registered idle pass ({mode}) {idle['ratio']:.3f}x the "
+        f"pool-registered idle pass {idle['ratio']:.3f}x the "
         f"fastpath reference (limit {max_ratio}): {idle}"
     )
-    return scaling
-
-
-def _check_lockfree_idle(results, *, max_penalty=1.05):
-    """Under the GIL the lock-free single-stream idle pass must stay
-    within 5% of the locked fast path (the acceptance bound)."""
-    locked = results["off"]["single_stream_idle"]["fastpath_us"]
-    lockfree = results["on"]["single_stream_idle"]["fastpath_us"]
-    penalty = lockfree / locked
-    assert penalty <= max_penalty, (
-        f"lock-free idle pass {penalty:.3f}x the locked one "
-        f"(limit {max_penalty}): {lockfree:.3f}us vs {locked:.3f}us"
-    )
-    return penalty
-
-
-def _sweep(mode, *, smoke=False):
-    if smoke:
-        scaling = measure_pool_scaling(
-            [1, 4], num_streams=8, poll_cost=100e-6, duration=0.2,
-            lockfree=mode,
-        )
-        idle = measure_pool_idle_latency(passes=4_000, repeats=3, lockfree=mode)
-    else:
-        scaling = measure_pool_scaling(WORKERS, lockfree=mode)
-        idle = measure_pool_idle_latency(lockfree=mode)
-    return {"pool_scaling": scaling, "single_stream_idle": idle}
-
-
-def _report(results):
-    for mode in MODES:
-        label = "locked" if mode == "off" else "lock-free"
-        print_rows(
-            f"Parallel progress ({label}) — completions/sec vs pool workers",
-            results[mode]["pool_scaling"],
-            expectation=">=2x aggregate throughput from 1 to 4 workers",
-        )
-        print_rows(
-            f"Parallel progress ({label}) — single-stream idle pass latency",
-            [results[mode]["single_stream_idle"]],
-            expectation="pool registration leaves the unsharded fast path "
-            "within 10% of the registry baseline",
-        )
 
 
 def _run(*, smoke, min_scaling, max_ratio):
-    results = {mode: _sweep(mode, smoke=smoke) for mode in MODES}
-    results["runtime"] = runtime_info()
-    _report(results)
-    for mode in MODES:
-        _check(
-            results[mode]["pool_scaling"],
-            results[mode]["single_stream_idle"],
-            min_scaling=min_scaling,
-            max_ratio=max_ratio,
-            mode=mode,
+    if smoke:
+        scaling = measure_pool_scaling(
+            [1, 4], num_streams=8, poll_cost=100e-6, duration=0.2
         )
-    # The acceptance bound is 5%; the short smoke sweep is too noisy
-    # for that, so it only guards against gross regressions.
-    penalty = _check_lockfree_idle(results, max_penalty=1.20 if smoke else 1.05)
-    return results, penalty
+        idle = measure_pool_idle_latency(passes=4_000, repeats=3)
+    else:
+        scaling = measure_pool_scaling(WORKERS)
+        idle = measure_pool_idle_latency()
+    results = {
+        "pool_scaling": scaling,
+        "single_stream_idle": idle,
+        "runtime": runtime_info(),
+    }
+    print_rows(
+        "Parallel progress — completions/sec vs pool workers",
+        scaling,
+        expectation=">=2x aggregate throughput from 1 to 4 workers",
+    )
+    print_rows(
+        "Parallel progress — single-stream idle pass latency",
+        [idle],
+        expectation="pool registration leaves the unsharded fast path "
+        "within 10% of the registry baseline",
+    )
+    _check(scaling, idle, min_scaling=min_scaling, max_ratio=max_ratio)
+    return results
 
 
 def test_pool_scaling_and_single_stream_latency(benchmark):
-    results, penalty = benchmark.pedantic(
+    results = benchmark.pedantic(
         lambda: _run(smoke=False, min_scaling=2.0, max_ratio=1.10),
         rounds=1,
         iterations=1,
     )
     path = record_bench_json("BENCH_parallel_progress.json", results, merge=True)
-    print(f"recorded: {path} (lock-free idle penalty {penalty:.3f}x)")
+    print(f"recorded: {path}")
 
 
 def main(argv=None):
@@ -129,16 +93,15 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     if args.smoke:
-        results, penalty = _run(smoke=True, min_scaling=1.5, max_ratio=1.25)
+        results = _run(smoke=True, min_scaling=1.5, max_ratio=1.25)
         print(
             f"smoke ok on {results['runtime']['python']} "
-            f"(gil_enabled={results['runtime']['gil_enabled']}), "
-            f"lock-free idle penalty {penalty:.3f}x"
+            f"(gil_enabled={results['runtime']['gil_enabled']})"
         )
         return
-    results, penalty = _run(smoke=False, min_scaling=2.0, max_ratio=1.10)
+    results = _run(smoke=False, min_scaling=2.0, max_ratio=1.10)
     path = record_bench_json("BENCH_parallel_progress.json", results, merge=True)
-    print(f"recorded: {path} (lock-free idle penalty {penalty:.3f}x)")
+    print(f"recorded: {path}")
 
 
 if __name__ == "__main__":

@@ -73,9 +73,7 @@ def sysconfig_gil_disabled() -> bool:
 # Fast-path ablation — pending-work registry and bucketed matching.
 # ----------------------------------------------------------------------
 
-def _fastpath_proc(
-    registry: bool, busy_collective: bool, *, lockfree: str = "auto"
-) -> Proc:
+def _fastpath_proc(registry: bool, busy_collective: bool) -> Proc:
     """Rank 0 of a virtual world prepared for idle-pass timing.
 
     With ``busy_collective`` a collective schedule blocked on a receive
@@ -84,9 +82,7 @@ def _fastpath_proc(
     with 3 of 4 subsystems idle that never makes progress.  Without it
     every subsystem is idle (the common steady-state pass).
     """
-    cfg = RuntimeConfig(
-        use_shmem=False, progress_registry_skip=registry, lockfree=lockfree
-    )
+    cfg = RuntimeConfig(use_shmem=False, progress_registry_skip=registry)
     world = World(2, clock=VirtualClock(), config=cfg)
     p0 = world.proc(0)
     if busy_collective:
@@ -143,7 +139,6 @@ def measure_pool_scaling(
     num_streams: int = 8,
     poll_cost: float = 200e-6,
     duration: float = 0.6,
-    lockfree: str = "auto",
 ) -> list[dict]:
     """Aggregate harvested-completions/sec vs pool worker count.
 
@@ -160,7 +155,7 @@ def measure_pool_scaling(
 
     rows: list[dict] = []
     for workers in worker_counts:
-        proc = repro.init(config=RuntimeConfig(lockfree=lockfree))
+        proc = repro.init()
         streams = [proc.stream_create() for _ in range(num_streams)]
         counts = [0] * num_streams
         live = {"on": True}
@@ -208,7 +203,7 @@ def measure_pool_scaling(
 
 
 def measure_pool_idle_latency(
-    *, passes: int = 20_000, repeats: int = 5, lockfree: str = "auto"
+    *, passes: int = 20_000, repeats: int = 5
 ) -> dict[str, float]:
     """Single-stream idle-pass latency with and without pool machinery.
 
@@ -224,7 +219,7 @@ def measure_pool_idle_latency(
 
     out: dict[str, float] = {}
     for label, with_pool in (("fastpath_us", False), ("pool_registered_us", True)):
-        p0 = _fastpath_proc(True, False, lockfree=lockfree)
+        p0 = _fastpath_proc(True, False)
         if with_pool:
             ProgressPool([(p0, p0.default_stream)], workers=4)
         run = p0.progress_engine.run_locked

@@ -10,19 +10,10 @@ n * beta``.
 
 from __future__ import annotations
 
-import os
-
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 __all__ = ["RuntimeConfig", "DEFAULT_CONFIG"]
-
-
-def _default_lockfree() -> str:
-    """Default for :attr:`RuntimeConfig.lockfree`: the ``REPRO_LOCKFREE``
-    environment variable, else ``auto``.  Env-driven so CI legs can force
-    the lock-free paths under the GIL without touching test code."""
-    return os.environ.get("REPRO_LOCKFREE", "auto")
 
 
 @dataclass(frozen=True)
@@ -144,16 +135,6 @@ class RuntimeConfig:
     #: Exposed so the fast-path benchmark can measure the seed behaviour.
     progress_registry_skip: bool = True
 
-    #: Lock-free hot paths: ``auto`` selects the sharded/SPSC
-    #: implementations (endpoint completion inboxes, shmem SPSC rings)
-    #: exactly when running on a free-threaded CPython build with the
-    #: GIL disabled; ``on``/``off`` force them.  The structures are
-    #: correct on either build — ``auto`` just avoids paying their
-    #: (tiny) bookkeeping where the GIL already serializes everything.
-    #: Defaults from the ``REPRO_LOCKFREE`` environment variable.
-    #: See :mod:`repro.util.lockfree` for the memory-model assumptions.
-    lockfree: str = field(default_factory=_default_lockfree)
-
     #: When True, ``stream_progress`` timestamps the stream-lock
     #: acquisition on every pass to maintain ``stat_lock_wait_s`` /
     #: ``stat_lock_acquires`` (the Fig. 9 causal measurement).  Off by
@@ -162,12 +143,11 @@ class RuntimeConfig:
     progress_lock_stats: bool = False
 
     #: Batched-drain bound: one progress pass harvests at most this many
-    #: matured completions/arrivals per subsystem under a single lock
-    #: acquisition (``poll_batch``), and advances at most this many
-    #: collective schedules.  0 means unbounded (drain everything
-    #: matured).  The bound keeps a flooded VCI from monopolizing its
-    #: pool worker while still amortizing one lock round-trip per batch
-    #: instead of one per completion.
+    #: matured completions/arrivals per subsystem in one ``poll_batch``
+    #: call, and advances at most this many collective schedules.  0
+    #: means unbounded (drain everything matured).  The bound keeps a
+    #: flooded VCI from monopolizing its pool worker while still
+    #: amortizing the per-call cost over a batch.
     progress_batch_size: int = 64
 
     # ------------------------------------------------------------------
@@ -413,21 +393,6 @@ class RuntimeConfig:
             return False
         return self.faults_active()
 
-    def lockfree_active(self) -> bool:
-        """Whether the lock-free hot paths are selected (resolves 'auto').
-
-        ``auto`` picks them exactly on free-threaded builds running with
-        the GIL disabled; dsched sweeps and the GIL-on CI leg force
-        ``on`` to exercise the same code under serialized execution.
-        """
-        if self.lockfree == "on":
-            return True
-        if self.lockfree == "off":
-            return False
-        from repro.util.lockfree import is_free_threaded
-
-        return is_free_threaded()
-
     def detector_active(self) -> bool:
         """Whether the heartbeat failure detector runs (resolves 'auto')."""
         if self.ft_detector == "on":
@@ -499,8 +464,6 @@ class RuntimeConfig:
                         raise ValueError(f"unknown link fault knob {key!r}")
         if self.reliability not in ("auto", "on", "off"):
             raise ValueError(f"unknown reliability mode {self.reliability!r}")
-        if self.lockfree not in ("auto", "on", "off"):
-            raise ValueError(f"unknown lockfree mode {self.lockfree!r}")
         if self.rel_rto <= 0:
             raise ValueError("rel_rto must be positive")
         if self.rel_backoff < 1.0:

@@ -12,39 +12,31 @@ at local time *t*
 * arrives at the target (packet visible to its ``poll``) at
   ``t + nic_wire_delay + n * nic_beta``.
 
-Thread model — two selectable implementations
-(``RuntimeConfig.lockfree``, resolved by ``lockfree_active()``):
+Thread model: the hot paths take no endpoint lock.  Every location
+has one writer at a time (see :mod:`repro.util.lockfree` for the
+memory-model assumptions A1–A4), by one serialization argument:
 
-* **locked** (the default under the GIL): the two pending heaps share
-  one raw ``threading.Lock``, exactly the seed design.  Harvesting and
-  cross-thread delivery contend on it.
-* **lock-free** (default on free-threaded builds): producers publish
-  into SPSC inboxes and the consumer owns the heaps privately, so the
-  hot paths take no endpoint lock at all.  The serialization argument,
-  per location (see :mod:`repro.util.lockfree` for assumptions A1–A4):
+- *owner side* (``post_send`` and ``poll_batch``): both run under the
+  owning stream's lock — every injection path (isend, collectives, RMA,
+  acks, retransmit and heartbeat hooks) holds it, ``stream_progress``
+  takes it, and ProgressPool's claim/release protocol provides the
+  happens-before edge when the polling role migrates between workers.
+  So the ``_inflight`` / ``_arrivals`` heaps, ``_last_arrival`` and the
+  ``stat_*`` counters are owner-private: a post pushes its op straight
+  into the heap a later poll pops.
+- *delivery side* (``enqueue_arrival``): the only cross-thread hop.
+  One SPSC inbox per SOURCE endpoint; the producer for inbox ``src`` is
+  whoever holds *src*'s stream lock (the fabric delivers synchronously
+  from the sender's thread), so each inbox has exactly one producer,
+  and the owner drains the inboxes into ``_arrivals`` at its next poll.
 
-  - *injection side* (``post_send``: ``_inflight`` staging via
-    ``_op_inbox``, ``_last_arrival``, ``stat_posted``/``stat_bytes``)
-    has a single producer — every injection path (isend, collectives,
-    RMA, acks) runs under the owning stream's lock;
-  - *delivery side* (``enqueue_arrival``): one SPSC inbox per SOURCE
-    endpoint.  The producer for inbox ``src`` is whoever holds *src*'s
-    stream lock (the fabric delivers synchronously from the sender's
-    thread), so each inbox has exactly one producer;
-  - *consumer side* (``poll_batch``): at most one thread polls an
-    endpoint at a time — the owning stream's lock serializes passes,
-    and ProgressPool's claim/release protocol serializes worker
-    handoffs (steal/return), providing the happens-before edge when
-    the consumer role migrates between workers.
-
-  Conservation accounting stays exact *by construction*: a delivered
-  packet is counted by its inbox's single-writer ``pushed`` counter the
-  moment it is published, a harvested packet by the consumer-owned
-  ``stat_harvested``, and every pushed packet is either still in an
-  inbox, staged in the consumer's private heap, or harvested — so
-  ``delivered == harvested + arrivals_pending`` holds at every
-  scheduler yield point, however the drain is sliced and across
-  steal/return ownership moves.
+Conservation accounting is exact *by construction*: a delivered packet
+is counted by its inbox's single-writer ``pushed`` counter the moment
+it is published, a harvested packet by the owner's ``stat_harvested``,
+and every pushed packet is either still in an inbox, staged in the
+owner's heap, or harvested — so ``delivered == harvested +
+arrivals_pending`` holds at every scheduler yield point, however the
+drain is sliced and across steal/return ownership moves.
 """
 
 from __future__ import annotations
@@ -88,12 +80,11 @@ class NicOp:
 class Endpoint:
     """One injection/polling port on the fabric.
 
-    Thread-safety: an endpoint may be polled by its owning stream while
-    remote ranks concurrently deliver packets to it.  In locked mode the
-    pending heaps share one lock; in lock-free mode deliveries land in
-    per-source SPSC inboxes the consumer drains into private heaps (see
-    the module docstring).  Polling when idle is cheap either way: a
-    few integer reads, no lock.
+    Thread-safety: an endpoint is posted to and polled by its owning
+    stream (serialized by that stream's lock) while remote ranks
+    concurrently deliver packets to it.  Deliveries land in per-source
+    SPSC inboxes the owner drains into its private heaps (see the module
+    docstring).  Polling when idle costs one attribute read, no lock.
     """
 
     __slots__ = (
@@ -101,17 +92,13 @@ class Endpoint:
         "_fabric",
         "_clock",
         "_lock",
-        "_lockfree",
         "_inflight",
         "_arrivals",
-        "_pending_count",
         "_last_arrival",
-        "_op_inbox",
         "_arrival_inboxes",
         "_inbox_list",
         "_doorbell",
         "_ops_harvested",
-        "_stat_delivered",
         "stat_posted",
         "stat_bytes",
         "stat_polls",
@@ -124,50 +111,42 @@ class Endpoint:
         self.address = address
         self._fabric = fabric
         self._clock: Clock = fabric.clock
+        #: cold path only: serializes inbox creation
         self._lock = threading.Lock()
-        self._lockfree = fabric.config.lockfree_active()
-        #: locally posted ops ordered by completion deadline.  Locked
-        #: mode: shared under ``_lock``.  Lock-free mode: consumer-private
-        #: (fed from ``_op_inbox``).
+        #: locally posted ops ordered by completion deadline
+        #: (owner-private: pushed by ``post_send``, popped by polls)
         self._inflight: list[NicOp] = []
-        #: (arrival_time, seq, Packet) heap of packets en route to us;
-        #: same sharing discipline as ``_inflight``.
+        #: (arrival_time, seq, Packet) heap of packets en route to us,
+        #: staged from the inboxes by the owner's polls
         self._arrivals: list[tuple[float, int, Packet]] = []
-        self._pending_count = 0  # locked mode's lock-free idle check
         #: last scheduled arrival time per destination, enforcing FIFO
         #: (non-overtaking) delivery per (src, dst) endpoint pair even
         #: when a small message would otherwise "pass" a large one.
-        #: Injection-side state: single producer in lock-free mode.
         self._last_arrival: dict[tuple[int, int], float] = {}
-        #: lock-free mode: freshly posted ops awaiting staging into the
-        #: consumer's private ``_inflight`` heap
-        self._op_inbox: SpscQueue[NicOp] = SpscQueue()
-        #: lock-free mode: one SPSC inbox per source endpoint address
+        #: one SPSC inbox per source endpoint address
         self._arrival_inboxes: dict[tuple[int, int], SpscQueue] = {}
-        #: copy-on-write snapshot of the inboxes for consumer iteration
+        #: copy-on-write snapshot of the inboxes for owner iteration
         #: and counter sums (published under ``_lock`` at creation only)
         self._inbox_list: tuple[SpscQueue, ...] = ()
-        #: lock-free mode's one-attribute-read idle signal.  Producers
-        #: store True AFTER publishing into an inbox (A3: the item is
-        #: visible to anyone who sees the flag); the consumer stores
-        #: False BEFORE draining and re-arms if staged-but-immature
-        #: items remain in its heaps.  A push racing the clear leaves
-        #: the flag True (one spurious empty poll, harmless); a lost
-        #: wakeup is impossible because every push is followed by a
-        #: True store and every clear by a full drain.
+        #: the one-attribute-read idle signal.  Producers store True
+        #: AFTER publishing (A3: the item is visible to anyone who sees
+        #: the flag); the owner stores False BEFORE draining and re-arms
+        #: if staged-but-immature items remain in its heaps.  A push
+        #: racing the clear leaves the flag True (one spurious empty
+        #: poll, harmless); a lost wakeup is impossible because every
+        #: push is followed by a True store and every clear by a full
+        #: drain.
         self._doorbell = False
-        #: lock-free mode: completions harvested (consumer-owned)
+        #: completions harvested; with ``stat_posted`` (ops posted) and
+        #: the inbox counters it makes ``pending`` a pure counter sum
         self._ops_harvested = 0
         self.stat_posted = 0
         self.stat_bytes = 0
         self.stat_polls = 0
         self.stat_empty_polls = 0
-        #: packet copies the fabric enqueued here / packets harvested by
-        #: poll — the two sides of the dsched message-conservation
-        #: invariant (delivered == harvested + arrivals still queued).
-        #: Locked mode increments ``_stat_delivered`` under ``_lock``;
-        #: lock-free mode derives delivered from the inbox counters.
-        self._stat_delivered = 0
+        #: packets harvested by poll — with ``stat_delivered`` the two
+        #: sides of the dsched message-conservation invariant
+        #: (delivered == harvested + arrivals still queued)
         self.stat_harvested = 0
         #: poll_batch calls that returned at least one completion/packet
         self.stat_batch_harvests = 0
@@ -191,8 +170,7 @@ class Endpoint:
         or receiver-confirmed completion).  Anything else (a bare
         ``bytearray``) is snapshotted at post time.  When ``lease`` is
         given the packet retains it; the consumer releases after
-        dispatch.  The retain happens *before* the endpoint lock: the
-        pool lock may be a dsched yield point while ``_lock`` is raw.
+        dispatch.
         """
         cfg = self._fabric.config
         now = self._clock.now()
@@ -207,35 +185,17 @@ class Endpoint:
         deadline = now + cfg.nic_alpha + nbytes * cfg.nic_beta
         arrival = now + cfg.nic_wire_delay + nbytes * cfg.nic_beta
         op = NicOp(op_id, nbytes, deadline, context)
-        if self._lockfree:
-            # Injection-side state has one producer (the owning stream's
-            # lock serializes every post path), so no endpoint lock: the
-            # FIFO adjustment, the stat bumps and the op publication are
-            # plain single-writer stores (A2), and the op is visible to
-            # the consumer once pushed (A3).
-            prev = self._last_arrival.get(dst)
-            if prev is not None and arrival <= prev:
-                arrival = prev + 1e-12
-            self._last_arrival[dst] = arrival
-            self._op_inbox.push(op)
-            self.stat_posted += 1
-            self.stat_bytes += nbytes
-            self._doorbell = True
-        else:
-            # The FIFO arrival adjustment and the stat counters share
-            # the endpoint lock with the heaps: two threads posting
-            # towards the same destination must serialize the
-            # read-adjust-write of _last_arrival or both could compute
-            # the same arrival time (and drop counter increments).
-            with self._lock:
-                prev = self._last_arrival.get(dst)
-                if prev is not None and arrival <= prev:
-                    arrival = prev + 1e-12
-                self._last_arrival[dst] = arrival
-                heapq.heappush(self._inflight, op)
-                self._pending_count += 1
-                self.stat_posted += 1
-                self.stat_bytes += nbytes
+        # Owner-side state (the owning stream's lock serializes every
+        # post and poll), so no endpoint lock: the FIFO adjustment, the
+        # heap push and the stat bumps are plain single-writer stores.
+        prev = self._last_arrival.get(dst)
+        if prev is not None and arrival <= prev:
+            arrival = prev + 1e-12
+        self._last_arrival[dst] = arrival
+        heapq.heappush(self._inflight, op)
+        self.stat_posted += 1
+        self.stat_bytes += nbytes
+        self._doorbell = True
         packet = Packet(self.address, dst, dict(header), data, seq=op_id, lease=lease)
         _timers.post(self._clock, deadline, self.address[0], self.address[1], "nic_tx")
         self._fabric.deliver(packet, arrival)
@@ -261,21 +221,13 @@ class Endpoint:
         return inbox
 
     def enqueue_arrival(self, packet: Packet, arrival_time: float) -> None:
-        if self._lockfree:
-            # Single producer per source inbox: the fabric delivers on
-            # the sender's thread, under the sender's stream lock.  The
-            # inbox's ``pushed`` counter IS the delivered count for
-            # this link — bumped by ``push`` after the packet is
-            # published, so conservation sums are never early.
-            self._arrival_inbox(packet.src).push(
-                (arrival_time, packet.seq, packet)
-            )
-            self._doorbell = True
-        else:
-            with self._lock:
-                heapq.heappush(self._arrivals, (arrival_time, packet.seq, packet))
-                self._pending_count += 1
-                self._stat_delivered += 1
+        # Single producer per source inbox: the fabric delivers on the
+        # sender's thread, under the sender's stream lock.  The inbox's
+        # ``pushed`` counter IS the delivered count for this link —
+        # bumped by ``push`` after the packet is published, so
+        # conservation sums are never early.
+        self._arrival_inbox(packet.src).push((arrival_time, packet.seq, packet))
+        self._doorbell = True
         # Attributed to the *receiving* endpoint: its poll observes the
         # arrival when virtual time reaches ``arrival_time``.
         _timers.post(
@@ -290,7 +242,7 @@ class Endpoint:
 
         Returns ``(completions, packets)`` in deadline order.  Both are
         empty when nothing matured — the common idle case, which costs
-        a few lock-free counter reads.
+        one flag read.
         """
         return self.poll_batch(None)
 
@@ -298,72 +250,22 @@ class Endpoint:
         """Batched drain: up to ``max_k`` matured items per side (``None``
         = everything matured, the :meth:`poll` behaviour).
 
-        Locked mode does both drains under ONE lock acquisition; the
-        stat counters (``stat_harvested``) and the lock-free pending
-        count update inside the same critical section as the heap pops,
-        so a concurrent ``enqueue_arrival`` can never observe a window
-        where a packet is neither counted as queued nor as harvested —
-        the dsched message-conservation invariant stays exact however
-        the drain is sliced.
-
-        Lock-free mode first stages the SPSC inboxes into the
-        consumer's private heaps (preserving exact (time, seq) heap
-        order — fault-injected reorderings behave identically to locked
-        mode), then harvests matured items with no lock at all.  The
-        consumer-owned counters keep the same invariant exact.
+        First stages the SPSC inboxes into the ``_arrivals`` heap
+        (preserving exact (time, seq) order, so fault-injected
+        reorderings merge across sources deterministically), then
+        harvests matured items with no lock at all.  The owner-written
+        counters keep the conservation invariant exact however the
+        drain is sliced.
         """
         self.stat_polls += 1
-        if self._lockfree:
-            return self._poll_batch_lockfree(max_k)
-        if self._pending_count == 0:
-            self.stat_empty_polls += 1
-            return [], []
-        now = self._clock.now()
-        completions: list[NicOp] = []
-        packets: list[Packet] = []
-        budget = max_k if max_k is not None else -1
-        with self._lock:
-            while self._inflight and self._inflight[0].deadline <= now:
-                if budget == 0:
-                    break
-                op = heapq.heappop(self._inflight)
-                op.completed = True
-                completions.append(op)
-                budget -= 1
-            budget = max_k if max_k is not None else -1
-            while self._arrivals and self._arrivals[0][0] <= now:
-                if budget == 0:
-                    break
-                _, _, packet = heapq.heappop(self._arrivals)
-                packets.append(packet)
-                budget -= 1
-            self.stat_harvested += len(packets)
-            self._pending_count = len(self._inflight) + len(self._arrivals)
-        if not completions and not packets:
-            self.stat_empty_polls += 1
-        else:
-            self.stat_batch_harvests += 1
-        return completions, packets
-
-    def _poll_batch_lockfree(
-        self, max_k: int | None
-    ) -> tuple[list[NicOp], list[Packet]]:
         if not self._doorbell:
             self.stat_empty_polls += 1
             return [], []
         # Clear the doorbell BEFORE draining: anything published before
         # the producer's True store is visible now; a push racing the
         # clear re-rings it (one extra pass at worst, never a lost
-        # wakeup).  Then stage published work into the consumer's
-        # private heaps.
+        # wakeup).
         self._doorbell = False
-        inflight = self._inflight
-        op_inbox = self._op_inbox
-        while True:
-            op = op_inbox.try_pop()
-            if op is None:
-                break
-            heapq.heappush(inflight, op)
         arrivals = self._arrivals
         for inbox in self._inbox_list:
             while True:
@@ -371,6 +273,7 @@ class Endpoint:
                 if item is None:
                     break
                 heapq.heappush(arrivals, item)
+        inflight = self._inflight
         now = self._clock.now()
         completions: list[NicOp] = []
         packets: list[Packet] = []
@@ -389,9 +292,9 @@ class Endpoint:
             _, _, packet = heapq.heappop(arrivals)
             packets.append(packet)
             budget -= 1
-        # Consumer-owned counters (A2); ``stat_harvested`` is bumped
-        # only after the packets left the heap, so the conservation sum
-        # delivered == harvested + pending never goes negative.
+        # ``stat_harvested`` is bumped only after the packets left the
+        # heap, so the conservation sum delivered == harvested + pending
+        # never goes negative.
         self._ops_harvested += len(completions)
         self.stat_harvested += len(packets)
         if inflight or arrivals:
@@ -405,51 +308,44 @@ class Endpoint:
         return completions, packets
 
     # ------------------------------------------------------------------
-    # Accounting views (exact in both modes; see module docstring).
+    # Accounting views (pure counter sums, readable from any thread).
     # ------------------------------------------------------------------
     @property
     def stat_delivered(self) -> int:
         """Packet copies enqueued at this endpoint (exact)."""
-        if self._lockfree:
-            return sum(inbox.pushed for inbox in self._inbox_list)
-        return self._stat_delivered
+        return sum(inbox.pushed for inbox in self._inbox_list)
 
     @property
     def pending(self) -> int:
         """Operations/arrivals not yet harvested (no locks taken)."""
-        if self._lockfree:
-            # Inlined (no nested property, no genexp): this is read by
-            # every idle-pass busy check, where allocation costs show.
-            n = self._op_inbox.pushed - self._ops_harvested - self.stat_harvested
-            for inbox in self._inbox_list:
-                n += inbox.pushed
-            return n
-        return self._pending_count
+        # Harvest counters are read first: a cross-thread reader racing
+        # a poll may over- but never under-count.  No nested property,
+        # no genexp — busy checks read this and allocation costs show.
+        harvested = self._ops_harvested + self.stat_harvested
+        n = self.stat_posted - harvested
+        for inbox in self._inbox_list:
+            n += inbox.pushed
+        return n
 
     def idle_probe(self):
         """A bound zero-arg busy check for the pending-work registry.
 
         Mirrors :meth:`ShmemTransport.idle_probe`: the idle pass is the
-        common case, so the probe is specialized per mode and costs one
-        attribute read either way.  The lock-free probe reads the
-        doorbell flag producers ring after publishing and the consumer
-        re-arms while immature work is staged — "False" really means
-        idle (A1/A3 staleness at worst delays one pass, same as the
-        locked counter read).
+        common case, so the probe costs one attribute read — the
+        doorbell flag producers ring after publishing and the owner
+        re-arms while immature work is staged.  "False" really means
+        idle (A1/A3 staleness at worst delays one pass).
         """
-        if not self._lockfree:
-            return lambda: self._pending_count > 0
         return lambda: self._doorbell
 
     @property
     def arrivals_pending(self) -> int:
-        """Delivered packets not yet harvested (conservation checking)."""
-        if self._lockfree:
-            # Exact by construction: every pushed packet is in an inbox,
-            # staged in the private heap, or counted harvested.
-            return self.stat_delivered - self.stat_harvested
-        with self._lock:
-            return len(self._arrivals)
+        """Delivered packets not yet harvested (conservation checking).
+
+        Exact by construction: every pushed packet is in an inbox,
+        staged in the private heap, or counted harvested.
+        """
+        return self.stat_delivered - self.stat_harvested
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Endpoint{self.address}(pending={self.pending})"

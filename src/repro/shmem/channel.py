@@ -8,7 +8,6 @@ from typing import Any
 from repro.sim import timers as _timers
 from repro.util.clock import Clock
 from repro.util.lockfree import SpscRing
-from repro.util.ringbuf import RingBuffer
 
 __all__ = ["Cell", "RingChannel"]
 
@@ -54,11 +53,8 @@ class RingChannel:
 
     The use IS single-producer/single-consumer per direction — pushes
     run under the sending address's stream lock, pops under the
-    receiving address's — so with ``lockfree=True`` the backing ring is
-    the sequence-counter :class:`~repro.util.lockfree.SpscRing` and the
-    per-cell lock round-trips disappear.  The locked
-    :class:`~repro.util.ringbuf.RingBuffer` remains the default (and
-    the differential-test reference).
+    receiving address's — so the backing ring is the sequence-counter
+    :class:`~repro.util.lockfree.SpscRing`: no per-cell lock round-trip.
     """
 
     __slots__ = ("src", "dst", "_ring", "_clock")
@@ -69,14 +65,10 @@ class RingChannel:
         dst: tuple[int, int],
         capacity: int,
         clock: Clock,
-        *,
-        lockfree: bool = False,
     ) -> None:
         self.src = src
         self.dst = dst
-        self._ring: SpscRing[Cell] | RingBuffer[Cell] = (
-            SpscRing(capacity) if lockfree else RingBuffer(capacity)
-        )
+        self._ring: SpscRing[Cell] = SpscRing(capacity)
         self._clock = clock
 
     @property

@@ -118,9 +118,6 @@ class ShmemTransport:
     def __init__(self, clock: Clock, config: RuntimeConfig) -> None:
         self.clock = clock
         self.config = config
-        #: resolved once: channels created by this transport use the
-        #: lock-free SPSC ring when the runtime selects lock-free paths
-        self._lockfree = config.lockfree_active()
         self._lock = _sync.make_lock("shmem.transport")
         self._channels: dict[tuple[tuple[int, int], tuple[int, int]], RingChannel] = {}
         #: inbound channels per destination address
@@ -154,11 +151,7 @@ class ShmemTransport:
             ch = self._channels.get(key)
             if ch is None:
                 ch = RingChannel(
-                    src,
-                    dst,
-                    self.config.shmem_num_cells,
-                    self.clock,
-                    lockfree=self._lockfree,
+                    src, dst, self.config.shmem_num_cells, self.clock
                 )
                 self._channels[key] = ch
                 self._inbound.setdefault(dst, []).append(ch)

@@ -1,10 +1,10 @@
 """Lock-free single-producer/single-consumer structures and sharded counters.
 
-These are the free-threaded hot-path building blocks: a bounded SPSC
+These are the hot-path building blocks on every build: a bounded SPSC
 ring (:class:`SpscRing`), an unbounded SPSC queue (:class:`SpscQueue`),
 and a per-thread sharded counter (:class:`ShardedCounter`).  The locked
-:class:`repro.util.ringbuf.RingBuffer` remains the executable reference
-for differential testing (``tests/util/test_lockfree.py``).
+:class:`repro.util.ringbuf.RingBuffer` is the executable reference
+``tests/util/test_lockfree.py`` checks the ring against, nothing more.
 
 Memory model
 ------------
@@ -73,10 +73,10 @@ T = TypeVar("T")
 def is_free_threaded() -> bool:
     """True when running on a free-threaded CPython with the GIL off.
 
-    Uses ``sys._is_gil_enabled()`` (3.13+).  On GIL builds (or when a
-    free-threaded build runs with ``PYTHON_GIL=1``) this returns False:
-    the lock-free structures still *work* there, but ``auto`` mode only
-    selects them where they can actually scale.
+    Uses ``sys._is_gil_enabled()`` (3.13+); False on GIL builds and
+    when a free-threaded build runs with ``PYTHON_GIL=1``.  Purely
+    informational (bench records tag themselves with it): the runtime
+    runs the same code on either build.
     """
     check = getattr(sys, "_is_gil_enabled", None)
     if check is None:

@@ -6,10 +6,10 @@ must wait — which is precisely where the extra wait blocks of on-node
 pipeline transfers (Fig. 1 discussion) come from.
 
 The shmem transport's per-direction use is single-producer/single-
-consumer, and on lock-free runtimes (``RuntimeConfig.lockfree``) it
-routes onto :class:`repro.util.lockfree.SpscRing` instead.  This locked
-ring stays as the executable specification: the hypothesis differential
-property in ``tests/util/test_lockfree.py`` asserts the two agree on
+consumer and rides :class:`repro.util.lockfree.SpscRing`.  This locked
+ring is not reachable from the runtime: it stays as the executable
+specification the hypothesis differential property in
+``tests/util/test_lockfree.py`` checks ``SpscRing`` against on
 arbitrary push/pop interleavings.
 """
 
@@ -26,8 +26,7 @@ T = TypeVar("T")
 class RingBuffer(Generic[T]):
     """Fixed-capacity FIFO with non-blocking try semantics.
 
-    Thread-safe for any number of producers/consumers; the shmem
-    transport uses it single-producer/single-consumer per direction.
+    Thread-safe for any number of producers/consumers.
     """
 
     __slots__ = ("_capacity", "_items", "_head", "_count", "_lock")

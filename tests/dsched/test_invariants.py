@@ -156,12 +156,9 @@ class TestConservation:
             def worker():
                 world = World(2, clock=sched.clock)
                 ep = world.fabric.endpoint(1, 0)
-                # Fake a phantom packet copy through whichever counter
-                # backs the delivered count in the active mode.
-                if ep._lockfree:
-                    ep._arrival_inbox((0, 0)).pushed += 1
-                else:
-                    ep._stat_delivered += 1
+                # Fake a phantom packet copy through the inbox counter
+                # that backs the delivered count.
+                ep._arrival_inbox((0, 0)).pushed += 1
                 sched.sleep(0)  # checked at the next yield point
 
             sched.spawn(worker, name="w")

@@ -1,31 +1,28 @@
 """Lock-free hot paths swept across the CI seed matrix.
 
-These worlds run with ``RuntimeConfig(lockfree="on")``, so every
-interleaving dsched explores exercises the SPSC inbox publish/drain
-paths and the sharded matching structures — with the full invariant
-suite (message conservation at every yield point, lock-order tracking,
-deadlock detection) watching.  The steal/return scenario is the
+These worlds run on the default config: every interleaving dsched
+explores exercises the SPSC inbox publish/drain paths and the sharded
+matching structures — with the full invariant suite (message
+conservation at every yield point, lock-order tracking, deadlock
+detection) watching.  The steal/return scenario is the
 critical one: a steal migrates the SPSC *consumer* role between pool
 workers, and conservation must hold exactly across the handoff.
 """
 
 import repro
-from repro.config import RuntimeConfig
 from repro.dsched import explore_seeds
 from repro.exts.progress_pool import ProgressPool
 from repro.runtime.world import World
 
-LOCKFREE = RuntimeConfig(lockfree="on")
-
 
 def _lockfree_p2p_roundtrip(sched):
-    """Send/recv through SPSC op and arrival inboxes: the app thread
+    """Send/recv through the SPSC arrival inboxes: the app thread
     publishes (posts under the stream lock), a lone pool worker is the
     consumer draining the inboxes — exact conservation at every yield
     point in between."""
 
     def driver():
-        world = World(1, clock=sched.clock, config=LOCKFREE)
+        world = World(1, clock=sched.clock)
         proc = world.proc(0)
         comm = proc.comm_world
         pool = ProgressPool(
@@ -56,7 +53,7 @@ def _lockfree_pool_publish_drain(sched):
     (posts sends) concurrently — the ring publish/drain race."""
 
     def driver():
-        world = World(1, clock=sched.clock, config=LOCKFREE)
+        world = World(1, clock=sched.clock)
         proc = world.proc(0)
         comm = proc.comm_world
         pool = ProgressPool(
@@ -89,7 +86,7 @@ def _lockfree_steal_return_consumer_migration(sched):
     across both transitions."""
 
     def driver():
-        world = World(1, clock=sched.clock, config=LOCKFREE)
+        world = World(1, clock=sched.clock)
         proc = world.proc(0)
         streams = [proc.default_stream, proc.stream_create(), proc.stream_create()]
         comm = proc.comm_world
@@ -132,7 +129,7 @@ def _lockfree_matching_shard_race(sched):
     double-deliver a message, under every interleaving."""
 
     def driver():
-        world = World(1, clock=sched.clock, config=LOCKFREE)
+        world = World(1, clock=sched.clock)
         proc = world.proc(0)
         comm = proc.comm_world
         pool = ProgressPool(

@@ -131,6 +131,52 @@ class TestMultiStreamThreads:
             proc.stream_free(s)
         proc.finalize()
 
+    def test_threads_sharing_one_stream_conserve_every_op(self):
+        """More threads than cores post to and poll ONE stream's endpoint
+        under a shortened switch interval.  The endpoint takes no lock
+        of its own — the stream lock is all that keeps one thread's
+        post off another's poll — so a lost heap entry or counter
+        update shows up as a hang, a wrong payload or pending != 0."""
+        import sys
+        import threading
+
+        # use_shmem=False: self-sends ride the netmod endpoint.
+        proc = repro.init(config=repro.RuntimeConfig(use_shmem=False))
+        NUM_THREADS, ROUNDS = 4, 500
+        done = [0] * NUM_THREADS
+
+        def thread_fn(tid):
+            comm = proc.comm_world
+            for i in range(ROUNDS):
+                out = np.zeros(1, dtype="i4")
+                rreq = comm.irecv(out, 1, repro.INT, 0, tid)
+                sreq = comm.isend(np.array([tid * ROUNDS + i], dtype="i4"), 1, repro.INT, 0, tid)
+                proc.wait(rreq)
+                proc.wait(sreq)
+                if out[0] != tid * ROUNDS + i:
+                    return
+                done[tid] += 1
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=thread_fn, args=(t,)) for t in range(NUM_THREADS)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert done == [ROUNDS] * NUM_THREADS
+        ep = proc.world.fabric.endpoint(0, 0)
+        assert ep.stat_posted == NUM_THREADS * ROUNDS
+        assert ep.stat_delivered == ep.stat_harvested == NUM_THREADS * ROUNDS
+        assert ep.pending == 0 and ep.arrivals_pending == 0
+        proc.finalize()
+
     def test_concurrent_stream_comm_traffic(self):
         """Two streams per rank carrying independent traffic concurrently."""
 

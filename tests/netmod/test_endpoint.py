@@ -1,10 +1,12 @@
 """Netmod endpoint: cost model, polling, FIFO delivery."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import RuntimeConfig
 from repro.netmod.fabric import Fabric
 from repro.util.clock import VirtualClock
+from tests.netmod.reference_endpoint import ReferenceFabric
 
 
 CFG = RuntimeConfig(nic_alpha=1e-6, nic_beta=1e-9, nic_wire_delay=2e-6)
@@ -179,14 +181,15 @@ class TestBatchedDrain:
 
 @pytest.mark.parametrize("mode", ["off", "on"])
 class TestConservationBothModes:
-    """The locked and lock-free endpoints must satisfy the exact same
-    message-conservation invariant (delivered == harvested + in_flight)
-    at every batched drain slice, with identical delivery order."""
+    """The production endpoint (``on``) and the single-lock reference
+    endpoint (``off``) must satisfy the exact same message-conservation
+    invariant (delivered == harvested + in_flight) at every batched
+    drain slice, with identical delivery order."""
 
     def _fabric(self, mode, nranks=3):
         clock = VirtualClock()
-        cfg = CFG.updated(lockfree=mode)
-        return Fabric(nranks, clock=clock, config=cfg), clock
+        cls = Fabric if mode == "on" else ReferenceFabric
+        return cls(nranks, clock=clock, config=CFG), clock
 
     def test_conservation_over_batched_drain(self, mode):
         fabric, clock = self._fabric(mode)
@@ -207,8 +210,8 @@ class TestConservationBothModes:
 
     def test_multi_source_merge_in_arrival_order(self, mode):
         """Arrivals from several sources merge by (time, seq) exactly as
-        in the locked heap — the lock-free per-source inboxes must not
-        change observable delivery order."""
+        in the reference's one locked heap — the per-source inboxes must
+        not change observable delivery order."""
         fabric, clock = self._fabric(mode)
         a, b, dst = fabric.endpoint(0), fabric.endpoint(1), fabric.endpoint(2)
         a.post_send((2, 0), {"kind": "eager", "tag": "a0"}, b"x" * 10)
@@ -247,6 +250,67 @@ class TestConservationBothModes:
         _, packets = dst.poll()
         assert len(packets) == 1
         assert dst.arrivals_pending == 0
+
+
+_STEP = st.one_of(
+    st.tuples(
+        st.just("post"),
+        st.integers(0, 2),  # source rank; the destination is rank 3
+        st.sampled_from([0, 8, 5000]),  # big-then-small => FIFO bump
+    ),
+    st.tuples(st.just("advance"), st.sampled_from([5e-7, 2e-6, 1e-5])),
+    st.tuples(
+        st.just("poll"),
+        st.sampled_from([3, 3, 3, 0, 1, 2]),  # mostly the destination
+        st.sampled_from([1, 2, None]),
+    ),
+)
+
+
+class TestDifferentialAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_STEP, max_size=40))
+    @example(  # small behind big on one link, sliced drain: the FIFO bump
+        [("post", 0, 5000), ("post", 1, 8), ("post", 0, 0), ("advance", 1e-5)]
+        + [("poll", 3, 1)] * 3
+    )
+    def test_production_matches_reference_endpoint(self, script):
+        """Random post / advance / poll_batch(k) scripts drive the
+        reference and production fabrics side by side: harvest order
+        and every accounting view agree after every step."""
+        ref_clock, prod_clock = VirtualClock(), VirtualClock()
+        fabrics = [
+            (ReferenceFabric(4, clock=ref_clock, config=CFG), ref_clock),
+            (Fabric(4, clock=prod_clock, config=CFG), prod_clock),
+        ]
+        for i, step in enumerate(script):
+            seen = []
+            for fabric, clock in fabrics:
+                out = None
+                if step[0] == "post":
+                    fabric.endpoint(step[1]).post_send(
+                        (3, 0), {"kind": "eager", "i": i}, b"x" * step[2], context=i
+                    )
+                elif step[0] == "advance":
+                    clock.advance(step[1])
+                else:
+                    ops, packets = fabric.endpoint(step[1]).poll_batch(step[2])
+                    assert all(op.completed for op in ops)
+                    out = (
+                        [(op.op_id, op.nbytes, op.deadline, op.context) for op in ops],
+                        [(p.src, p.seq, p.header, len(p.payload)) for p in packets],
+                    )
+                eps = [fabric.endpoint(r) for r in range(4)]
+                seen.append(
+                    (
+                        out,
+                        [ep.pending for ep in eps],
+                        [ep.stat_delivered for ep in eps],
+                        [ep.stat_harvested for ep in eps],
+                        [ep.arrivals_pending for ep in eps],
+                    )
+                )
+            assert seen[0] == seen[1], (i, step)
 
 
 class TestConservationShmTransport:

@@ -22,7 +22,6 @@ class TestRoundtrip:
     def test_non_default_fields_survive(self):
         cfg = RuntimeConfig(
             eager_threshold=12345,
-            lockfree="on",
             reliability="on",
             rel_rto=0.25,
             ranks_per_node=3,
@@ -69,11 +68,19 @@ class TestDrift:
         from a serializer that still ships the key must fail loudly."""
         from dataclasses import fields
 
-        assert len(fields(RuntimeConfig)) == 57
+        assert len(fields(RuntimeConfig)) == 56
         d = DEFAULT_CONFIG.to_dict()
         assert "shmem_eager_threshold" not in d
         d["shmem_eager_threshold"] = 16384
         with pytest.raises(ValueError, match="shmem_eager_threshold"):
+            RuntimeConfig.from_dict(d)
+        # ``lockfree`` selected between two endpoint/ring implementations;
+        # there is one now.  A parent at an older revision that still
+        # ships the key must not silently run a different path.
+        d = DEFAULT_CONFIG.to_dict()
+        assert "lockfree" not in d
+        d["lockfree"] = "on"
+        with pytest.raises(ValueError, match="lockfree"):
             RuntimeConfig.from_dict(d)
 
     def test_missing_keys_take_defaults(self):
