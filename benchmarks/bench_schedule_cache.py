@@ -13,7 +13,10 @@ Three measurements, recorded to ``BENCH_schedule_cache.json``:
   dominated by posting/progressing the actual traffic, so this is a
   no-regression guard around the plan-path gain, not a 2x gate.
 * cache-hit smoke — a second identical collective on a fresh world
-  must be a cache hit (``stat_plan_hits > 0``, exactly one build).
+  must be a cache hit (``stat_plan_hits > 0``, exactly one build), for
+  the user-level ``user_allreduce`` and the native ``comm.iallreduce``
+  alike (one plan cache serves both), and a
+  ``schedule_cache_enabled=False`` world must end with the same bytes.
 
 Run standalone with ``--smoke`` for a seconds-long CI sanity check
 (reduced iterations, records no JSON).
@@ -36,6 +39,8 @@ def _measure(*, iters, calls, repeats):
         nranks=8, count=16, calls=calls, repeats=repeats
     )
     hit_smoke = check_second_call_cache_hit(nranks=4)
+    native = check_second_call_cache_hit(nranks=4, native=True)
+    hit_smoke["native_stat_plan_hits"] = native["stat_plan_hits"]
     return plan_path, end_to_end, hit_smoke
 
 
@@ -77,6 +82,7 @@ def _check(plan_path, end_to_end, hit_smoke, *, min_plan_speedup):
         f"cached replay regressed end-to-end latency: {end_to_end}"
     )
     assert hit_smoke["stat_plan_hits"] > 0, hit_smoke
+    assert hit_smoke["native_stat_plan_hits"] > 0, hit_smoke
 
 
 def test_schedule_cache_speedup(benchmark):
@@ -113,7 +119,8 @@ def main(argv=None):
         print(
             f"smoke ok: plan path {plan_path['speedup']:.1f}x, end-to-end "
             f"{end_to_end['speedup']:.2f}x, second call hit "
-            f"(hits={hit_smoke['stat_plan_hits']})"
+            f"(user hits={hit_smoke['stat_plan_hits']}, "
+            f"native hits={hit_smoke['native_stat_plan_hits']})"
         )
         return
     plan_path, end_to_end, hit_smoke = _measure(iters=2000, calls=40, repeats=5)

@@ -76,8 +76,8 @@ def sysconfig_gil_disabled() -> bool:
 def _fastpath_proc(registry: bool, busy_collective: bool) -> Proc:
     """Rank 0 of a virtual world prepared for idle-pass timing.
 
-    With ``busy_collective`` a collective schedule blocked on a receive
-    that never arrives is submitted, so the collective subsystem reports
+    With ``busy_collective`` a one-step collective plan blocked on a
+    receive that never arrives is submitted, so the collective subsystem reports
     work forever while datatype, shmem and netmod stay idle — a pass
     with 3 of 4 subsystems idle that never makes progress.  Without it
     every subsystem is idle (the common steady-state pass).
@@ -86,11 +86,10 @@ def _fastpath_proc(registry: bool, busy_collective: bool) -> Proc:
     world = World(2, clock=VirtualClock(), config=cfg)
     p0 = world.proc(0)
     if busy_collective:
-        from repro.coll.sched import Sched
+        from repro.coll.plan import Plan, PlanRound, RecvStep
 
-        sched = Sched(p0.p2p, 0, context_id=999, tag=0)
-        sched.add_recv(1, np.zeros(1, dtype="i4"), 1, repro.INT)
-        p0.coll_engine.submit(sched)
+        blocked = Plan("blocked", [PlanRound(comms=(RecvStep(1),))])
+        p0.comm_world.start_plan(blocked, np.zeros(1, dtype="i4"), 1, repro.INT)
     return p0
 
 
@@ -848,7 +847,10 @@ def measure_plan_acquisition(
     ``OrderedDict`` probe.  Best-of-``repeats`` microseconds per call
     and the speedup — the planning overhead the cache amortizes away.
     """
-    from repro.exts.schedule_ext import PlanCache, count_bucket, plan_allreduce
+    from repro.coll.algorithms import (
+        plan_allreduce_recursive_doubling as plan_allreduce,
+    )
+    from repro.coll.plan import PlanCache, count_bucket
 
     rank = size - 1
     op = repro.SUM
@@ -862,7 +864,7 @@ def measure_plan_acquisition(
     out["cold_build_us"] = best / iters * 1e6
 
     cache = PlanCache()
-    key = ((0, 0), "allreduce", "rd-fold", op, repro.INT, count_bucket(4))
+    key = ((0, 0), plan_allreduce, (op,), count_bucket(4))
     builder = lambda: plan_allreduce(rank, size, op)  # noqa: E731
     cache.get_or_build(key, builder)  # warm
     best = float("inf")
@@ -1003,29 +1005,45 @@ def measure_user_native_small(
     return rows
 
 
-def check_second_call_cache_hit(*, nranks: int = 4) -> dict:
-    """Smoke assertion: a second identical collective is a cache hit.
+def check_second_call_cache_hit(*, nranks: int = 4, native: bool = False) -> dict:
+    """Smoke assertion: a second identical collective is a cache hit,
+    and the cache changes no bytes.
 
-    Runs two identical ``user_allreduce`` calls on a fresh virtual
-    world and returns rank 0's cache stats after asserting hits > 0 and
-    exactly one build for the repeated shape.
+    Runs two identical allreduces — ``comm.iallreduce`` when ``native``,
+    else ``user_allreduce`` — on a fresh virtual world and asserts
+    hits > 0 and exactly one build for the repeated shape; then the
+    same on a ``schedule_cache_enabled=False`` world, asserting every
+    rank ends with the same bytes.  Returns rank 0's cached-run stats.
     """
     from repro.usercoll import user_allreduce
 
-    cfg = RuntimeConfig(use_shmem=False)
-    world = World(nranks, clock=VirtualClock(), config=cfg)
-    procs = [world.proc(r) for r in range(nranks)]
-    for _ in range(2):
-        bufs = [np.array([p.rank], dtype="i4") for p in procs]
-        reqs = [
-            user_allreduce(p.comm_world, b, 1, repro.INT, repro.SUM)
-            for p, b in zip(procs, bufs)
-        ]
-        _drive_vworld(world, reqs)
-    stats = dict(procs[0].plan_cache.stats())
-    world.finalize()
+    def run(cache_enabled: bool) -> tuple[dict, list[bytes]]:
+        cfg = RuntimeConfig(use_shmem=False, schedule_cache_enabled=cache_enabled)
+        world = World(nranks, clock=VirtualClock(), config=cfg)
+        procs = [world.proc(r) for r in range(nranks)]
+        for _ in range(2):
+            bufs = [np.array([p.rank, 7], dtype="i4") for p in procs]
+            if native:
+                reqs = [
+                    p.comm_world.iallreduce(repro.IN_PLACE, b, 2, repro.INT)
+                    for p, b in zip(procs, bufs)
+                ]
+            else:
+                reqs = [
+                    user_allreduce(p.comm_world, b, 2, repro.INT, repro.SUM)
+                    for p, b in zip(procs, bufs)
+                ]
+            _drive_vworld(world, reqs)
+        stats = dict(procs[0].plan_cache.stats())
+        world.finalize()
+        return stats, [b.tobytes() for b in bufs]
+
+    stats, cached = run(True)
+    cold_stats, cold = run(False)
     assert stats["stat_plan_hits"] > 0, stats
     assert stats["stat_plan_builds"] == 1, stats
+    assert cold_stats["stat_plan_hits"] == 0, cold_stats
+    assert cached == cold, "schedule_cache_enabled changed the result bytes"
     return stats
 
 

@@ -1,104 +1,86 @@
-"""Allgather: ring (any size) and recursive doubling (power of two)."""
+"""Allgather: ring (any size, even or per-rank block sizes) and
+recursive doubling (power of two)."""
 
 from __future__ import annotations
 
-from repro.coll.algorithms.util import block_view, largest_pof2_below
-from repro.coll.sched import Sched
-from repro.datatype.types import BYTE, Datatype
+from typing import Sequence
 
-__all__ = ["build_allgather_ring", "build_allgather_recursive_doubling"]
+from repro.coll.algorithms.util import largest_pof2_below
+from repro.coll.plan import Plan, PlanRound, RecvStep, SendStep
+
+__all__ = [
+    "ring_rounds",
+    "plan_allgather_ring",
+    "plan_allgatherv_ring",
+    "plan_allgather_recursive_doubling",
+]
 
 
-def build_allgather_ring(
-    sched: Sched,
-    rank: int,
-    size: int,
-    recvbuf,
-    count: int,
-    datatype: Datatype,
-) -> None:
-    """Ring allgather: ``size - 1`` steps, each forwarding the block
-    received in the previous step to the right neighbor.
-
-    ``recvbuf`` holds ``size`` blocks of ``count`` elements; block
-    ``rank`` must already contain the local contribution.
-    """
-    if size == 1:
-        return
-    block_bytes = count * datatype.size
+def ring_rounds(
+    rank: int, size: int, counts: Sequence[int], displs: Sequence[int]
+) -> list[PlanRound]:
+    """``size - 1`` rounds, each forwarding the block received in the
+    previous one to the right neighbor.  Block ``rank`` of the user
+    buffer must hold the local contribution when the first round
+    starts (the van de Geijn broadcast puts its scatter receive in
+    front)."""
     right = (rank + 1) % size
     left = (rank - 1 + size) % size
-    prev_recv: int | None = None
+    rounds = []
     for step in range(size - 1):
-        send_block = (rank - step + size) % size
-        recv_block = (rank - step - 1 + size) % size
-        deps = [prev_recv] if prev_recv is not None else []
-        sched.add_send(
-            right,
-            block_view(recvbuf, send_block, block_bytes),
-            block_bytes,
-            BYTE,
-            deps=deps,
+        sb = (rank - step + size) % size
+        rb = (rank - step - 1 + size) % size
+        rounds.append(
+            PlanRound(
+                comms=(
+                    RecvStep(left, block=displs[rb], nblocks=counts[rb]),
+                    SendStep(right, block=displs[sb], nblocks=counts[sb]),
+                )
+            )
         )
-        prev_recv = sched.add_recv(
-            left,
-            block_view(recvbuf, recv_block, block_bytes),
-            block_bytes,
-            BYTE,
-            deps=deps,
-        )
+    return rounds
 
 
-def build_allgather_recursive_doubling(
-    sched: Sched,
-    rank: int,
-    size: int,
-    recvbuf,
-    count: int,
-    datatype: Datatype,
-) -> None:
+def plan_allgather_ring(rank: int, size: int) -> Plan:
+    """Ring allgather over ``size`` equal blocks.  Unit: one rank's
+    contribution."""
+    return Plan(
+        "ring", ring_rounds(rank, size, [1] * size, range(size)), result_blocks=size
+    )
+
+
+def plan_allgatherv_ring(
+    rank: int, size: int, counts: tuple[int, ...], displs: tuple[int, ...]
+) -> Plan:
+    """Ring allgather over per-rank ``counts``/``displs`` (elements):
+    an ``exact`` plan."""
+    return Plan(
+        "ring-v",
+        ring_rounds(rank, size, counts, displs),
+        result_blocks=sum(counts),
+        exact=True,
+    )
+
+
+def plan_allgather_recursive_doubling(rank: int, size: int) -> Plan:
     """Recursive-doubling allgather for power-of-two sizes: in round k
     exchange the ``2^k`` already-known blocks with rank XOR ``2^k``,
     halving the step count relative to the ring (log2 p rounds)."""
-    if size == 1:
-        return
     if largest_pof2_below(size) != size:
         raise ValueError("recursive-doubling allgather requires power-of-two size")
-    block_bytes = count * datatype.size
-    last: int | None = None
+    rounds = []
     mask = 1
     while mask < size:
         peer = rank ^ mask
-        # We currently own the aligned group of `mask` blocks containing
-        # our own block; the peer owns the adjacent group.
-        my_group = (rank // mask) * mask
-        peer_group = (peer // mask) * mask
-        deps = [last] if last is not None else []
-        view = block_view  # local alias
-        send = sched.add_send(
-            peer,
-            view(recvbuf, my_group, block_bytes * mask)
-            if mask == 1
-            else _group_view(recvbuf, my_group, mask, block_bytes),
-            block_bytes * mask,
-            BYTE,
-            deps=deps,
+        # We own the aligned group of `mask` blocks containing our own
+        # block; the peer owns the adjacent group.
+        rounds.append(
+            PlanRound(
+                comms=(
+                    RecvStep(peer, block=(peer // mask) * mask, nblocks=mask),
+                    SendStep(peer, block=(rank // mask) * mask, nblocks=mask),
+                )
+            )
         )
-        recv = sched.add_recv(
-            peer,
-            _group_view(recvbuf, peer_group, mask, block_bytes),
-            block_bytes * mask,
-            BYTE,
-            deps=deps,
-        )
-        last = sched.add_barrier_on([send, recv])
         mask <<= 1
-
-
-def _group_view(recvbuf, first_block: int, nblocks: int, block_bytes: int):
-    """Contiguous view over ``nblocks`` consecutive blocks."""
-    from repro.datatype.types import as_writable_view
-
-    view = as_writable_view(recvbuf)
-    start = first_block * block_bytes
-    return view[start : start + nblocks * block_bytes]
+    return Plan("rd", rounds, result_blocks=size)

@@ -1,7 +1,7 @@
 """Recursive-doubling allreduce (Ruefenacht et al. [9], MPICH default
-for short messages) — the algorithm the paper's user-level example
-(Listing 1.8) reimplements, so the native and user-level versions in
-the Fig. 13 benchmark run the *same* pattern.
+for short messages) — the algorithm of the paper's user-level example
+(Listing 1.8), so ``Comm.iallreduce`` and ``usercoll.user_allreduce``
+in the Fig. 13 benchmark replay the *same* plan.
 
 Supports any communicator size via the standard remainder folding:
 with ``rem = size - pof2`` extra ranks, ranks ``< 2*rem`` pair up
@@ -11,80 +11,71 @@ then results are unfolded at the end.
 
 from __future__ import annotations
 
-from repro.coll.algorithms.util import largest_pof2_below, reduce_fn
-from repro.coll.sched import Sched
+from repro.coll.algorithms.util import largest_pof2_below
+from repro.coll.plan import (
+    BUF_STAGE,
+    BUF_USER,
+    CopyStep,
+    Plan,
+    PlanRound,
+    RecvStep,
+    ReduceStep,
+    SendStep,
+)
 from repro.datatype.ops import Op
-from repro.datatype.types import Datatype
 
-__all__ = ["build_allreduce_recursive_doubling"]
+__all__ = ["plan_allreduce_recursive_doubling"]
 
 
-def build_allreduce_recursive_doubling(
-    sched: Sched,
-    rank: int,
-    size: int,
-    recvbuf,
-    tmpbuf,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-) -> None:
-    """Populate ``sched`` with the recursive-doubling pattern.
+def _reduce_steps(op: Op, rank: int, peer: int) -> tuple:
+    """The rank-ordered reduction of the block staged from ``peer``
+    into the user buffer: commutative ops (or a lower peer) reduce it
+    straight in; a non-commutative higher peer needs the my-data-first
+    ordering via a second staging block."""
+    if op.commutative or peer < rank:
+        # user = stage (op) user
+        return (ReduceStep(op, BUF_STAGE, BUF_USER),)
+    # user = user (op) stage, as scratch=user; stage=scratch(op)stage
+    return (
+        CopyStep(BUF_USER, BUF_STAGE, dst_block=1),
+        ReduceStep(op, BUF_STAGE, BUF_STAGE, src_block=1),
+        CopyStep(BUF_STAGE, BUF_USER),
+    )
 
-    ``recvbuf`` must already hold this rank's contribution (the comm
-    layer copies ``sendbuf`` in, honoring MPI_IN_PLACE).  ``tmpbuf`` is
-    a scratch buffer of at least ``count * datatype.size`` bytes.
-    """
-    if size == 1:
-        return
 
+def plan_allreduce_recursive_doubling(rank: int, size: int, op: Op) -> Plan:
+    """In place over the user buffer, which must already hold this
+    rank's contribution.  Unit: the whole message."""
+    rounds: list[PlanRound] = []
     pof2 = largest_pof2_below(size)
     rem = size - pof2
-    last: int | None = None
+    stage_blocks = 0
 
-    # ---- fold the remainder ranks -----------------------------------
+    def exchange(peer: int, send: bool) -> None:
+        nonlocal stage_blocks
+        steps = _reduce_steps(op, rank, peer)
+        stage_blocks = max(stage_blocks, 2 if len(steps) > 1 else 1)
+        comms = (RecvStep(peer, BUF_STAGE),) + ((SendStep(peer),) if send else ())
+        rounds.append(PlanRound(comms=comms, locals=steps))
+
     if rank < 2 * rem:
         if rank % 2 == 0:
-            # Fold out: contribute to rank+1, then idle until unfold.
-            send = sched.add_send(rank + 1, recvbuf, count, datatype)
-            sched.add_recv(rank + 1, recvbuf, count, datatype, deps=[send])
-            return
-        # Odd rank absorbs the even neighbor (lower rank => in_first).
-        recv = sched.add_recv(rank - 1, tmpbuf, count, datatype)
-        last = sched.add_local(
-            reduce_fn(op, tmpbuf, recvbuf, count, datatype, in_first=True),
-            deps=[recv],
-            label="fold-reduce",
-        )
+            # Fold out: contribute, then await the final result.
+            rounds.append(PlanRound(comms=(SendStep(rank + 1),)))
+            rounds.append(PlanRound(comms=(RecvStep(rank + 1),)))
+            return Plan("rd-fold", rounds)
         newrank = rank // 2
-    elif rank < 2 * rem:  # pragma: no cover - unreachable guard
-        raise AssertionError
+        exchange(rank - 1, send=False)  # absorb the even neighbor
     else:
         newrank = rank - rem
 
-    # ---- recursive doubling among the pof2 survivors ----------------
     mask = 1
     while mask < pof2:
         peer_new = newrank ^ mask
-        peer = peer_new * 2 + 1 if peer_new < rem else peer_new + rem
-        deps = [last] if last is not None else []
-        send = sched.add_send(peer, recvbuf, count, datatype, deps=deps)
-        recv = sched.add_recv(peer, tmpbuf, count, datatype, deps=deps)
-        last = sched.add_local(
-            reduce_fn(
-                op, tmpbuf, recvbuf, count, datatype, in_first=(peer < rank)
-            ),
-            deps=[send, recv],
-            label=f"rd-reduce-{mask}",
-        )
+        exchange(peer_new * 2 + 1 if peer_new < rem else peer_new + rem, send=True)
         mask <<= 1
 
-    # ---- unfold: odd survivors push the result back ------------------
     if rank < 2 * rem:
-        sched.add_send(
-            rank - 1,
-            recvbuf,
-            count,
-            datatype,
-            deps=[last] if last is not None else [],
-        )
+        # Unfold: return the result to the even neighbor.
+        rounds.append(PlanRound(comms=(SendStep(rank - 1),)))
+    return Plan("rd-fold", rounds, stage_blocks=stage_blocks)

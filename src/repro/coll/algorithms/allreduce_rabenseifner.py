@@ -11,67 +11,60 @@ otherwise.  Non-power-of-two sizes use the standard remainder folding.
 
 from __future__ import annotations
 
-from repro.coll.algorithms.util import largest_pof2_below, reduce_fn
-from repro.coll.sched import Sched
+from repro.coll.algorithms.util import largest_pof2_below, partition
+from repro.coll.plan import (
+    BUF_STAGE,
+    BUF_USER,
+    Plan,
+    PlanRound,
+    RecvStep,
+    ReduceStep,
+    SendStep,
+)
 from repro.datatype.ops import Op
-from repro.datatype.types import BYTE, Datatype, as_writable_view
 
-__all__ = ["build_allreduce_rabenseifner"]
-
-
-def _elem_view(buf, datatype: Datatype, start_elem: int, n_elems: int) -> memoryview:
-    esize = datatype.size
-    view = as_writable_view(buf)
-    return view[start_elem * esize : (start_elem + n_elems) * esize]
+__all__ = ["plan_allreduce_rabenseifner"]
 
 
-def build_allreduce_rabenseifner(
-    sched: Sched,
-    rank: int,
-    size: int,
-    recvbuf,
-    tmpbuf,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-) -> None:
-    """Populate ``sched``.  ``recvbuf`` already holds the local
-    contribution; ``tmpbuf`` is scratch of at least ``count`` elements."""
+def plan_allreduce_rabenseifner(rank: int, size: int, op: Op, count: int) -> Plan:
+    """In place over the user buffer.  The vector is block-partitioned
+    among the power-of-two survivors, unevenly when ``count`` does not
+    divide — an ``exact`` plan, extents in elements."""
     if not op.commutative:
         raise ValueError("Rabenseifner allreduce requires a commutative op")
-    if size == 1:
-        return
-    esize = datatype.size
-
+    rounds: list[PlanRound] = []
     pof2 = largest_pof2_below(size)
     rem = size - pof2
-    last: int | None = None
 
     def real_rank(newr: int) -> int:
         return newr * 2 + 1 if newr < rem else newr + rem
 
+    def plan(stage_blocks: int) -> Plan:
+        return Plan(
+            "rabenseifner",
+            rounds,
+            stage_blocks=stage_blocks,
+            result_blocks=count,
+            exact=True,
+        )
+
     # ---- fold the remainder ranks (same as recursive doubling) ------
     if rank < 2 * rem:
         if rank % 2 == 0:
-            send = sched.add_send(rank + 1, recvbuf, count, datatype)
-            sched.add_recv(rank + 1, recvbuf, count, datatype, deps=[send])
-            return
-        recv = sched.add_recv(rank - 1, tmpbuf, count, datatype)
-        last = sched.add_local(
-            reduce_fn(op, tmpbuf, recvbuf, count, datatype, in_first=True),
-            deps=[recv],
-            label="fold-reduce",
+            rounds.append(PlanRound(comms=(SendStep(rank + 1, nblocks=count),)))
+            rounds.append(PlanRound(comms=(RecvStep(rank + 1, nblocks=count),)))
+            return plan(0)
+        rounds.append(
+            PlanRound(
+                comms=(RecvStep(rank - 1, BUF_STAGE, nblocks=count),),
+                locals=(ReduceStep(op, BUF_STAGE, BUF_USER, nblocks=count),),
+            )
         )
         newrank = rank // 2
     else:
         newrank = rank - rem
 
-    # ---- block partition of the vector among the pof2 survivors -----
-    base, extra = divmod(count, pof2)
-    cnts = [base + (1 if i < extra else 0) for i in range(pof2)]
-    disps = [0] * pof2
-    for i in range(1, pof2):
-        disps[i] = disps[i - 1] + cnts[i - 1]
+    cnts, disps = partition(count, pof2)
 
     # ---- reduce-scatter: recursive halving ---------------------------
     send_idx = recv_idx = 0
@@ -89,32 +82,25 @@ def build_allreduce_rabenseifner(
             recv_idx = send_idx + half
             send_cnt = sum(cnts[send_idx:recv_idx])
             recv_cnt = sum(cnts[recv_idx:last_idx])
-        deps = [last] if last is not None else []
-        send = sched.add_send(
-            dst,
-            _elem_view(recvbuf, datatype, disps[send_idx], send_cnt),
-            send_cnt * esize,
-            BYTE,
-            deps=deps,
-        )
-        recv = sched.add_recv(
-            dst,
-            _elem_view(tmpbuf, datatype, disps[recv_idx], recv_cnt),
-            recv_cnt * esize,
-            BYTE,
-            deps=deps,
-        )
-        last = sched.add_local(
-            reduce_fn(
-                op,
-                _elem_view(tmpbuf, datatype, disps[recv_idx], recv_cnt),
-                _elem_view(recvbuf, datatype, disps[recv_idx], recv_cnt),
-                recv_cnt,
-                datatype,
-                in_first=True,
-            ),
-            deps=[send, recv],
-            label=f"rh-reduce-{mask}",
+        # The peer's half lands at the same displacement of the staging
+        # vector, then folds into the user buffer.
+        rounds.append(
+            PlanRound(
+                comms=(
+                    RecvStep(dst, BUF_STAGE, disps[recv_idx], recv_cnt),
+                    SendStep(dst, BUF_USER, disps[send_idx], send_cnt),
+                ),
+                locals=(
+                    ReduceStep(
+                        op,
+                        BUF_STAGE,
+                        BUF_USER,
+                        src_block=disps[recv_idx],
+                        dst_block=disps[recv_idx],
+                        nblocks=recv_cnt,
+                    ),
+                ),
+            )
         )
         send_idx = recv_idx
         mask <<= 1
@@ -137,32 +123,19 @@ def build_allreduce_rabenseifner(
             recv_idx = send_idx - half
             send_cnt = sum(cnts[send_idx:last_idx])
             recv_cnt = sum(cnts[recv_idx:send_idx])
-        deps = [last] if last is not None else []
-        send = sched.add_send(
-            dst,
-            _elem_view(recvbuf, datatype, disps[send_idx], send_cnt),
-            send_cnt * esize,
-            BYTE,
-            deps=deps,
+        rounds.append(
+            PlanRound(
+                comms=(
+                    RecvStep(dst, BUF_USER, disps[recv_idx], recv_cnt),
+                    SendStep(dst, BUF_USER, disps[send_idx], send_cnt),
+                )
+            )
         )
-        recv = sched.add_recv(
-            dst,
-            _elem_view(recvbuf, datatype, disps[recv_idx], recv_cnt),
-            recv_cnt * esize,
-            BYTE,
-            deps=deps,
-        )
-        last = sched.add_barrier_on([send, recv])
         if newrank > newdst:
             send_idx = recv_idx
         mask >>= 1
 
     # ---- unfold: odd survivors push the full vector back --------------
     if rank < 2 * rem:
-        sched.add_send(
-            rank - 1,
-            recvbuf,
-            count,
-            datatype,
-            deps=[last] if last is not None else [],
-        )
+        rounds.append(PlanRound(comms=(SendStep(rank - 1, nblocks=count),)))
+    return plan(count)

@@ -1,58 +1,78 @@
-"""Pairwise-exchange alltoall."""
+"""Pairwise-exchange alltoall, with even or per-peer block sizes."""
 
 from __future__ import annotations
 
-from repro.coll.algorithms.util import (
-    block_view,
-    copy_fn,
-    largest_pof2_below,
-    stage_block,
+from typing import Sequence
+
+from repro.coll.algorithms.util import largest_pof2_below
+from repro.coll.plan import (
+    BUF_SEND,
+    BUF_USER,
+    CopyStep,
+    Plan,
+    PlanRound,
+    RecvStep,
+    SendStep,
 )
-from repro.coll.sched import Sched
-from repro.datatype.types import BYTE, Datatype, as_readonly_view
 
-__all__ = ["build_alltoall_pairwise"]
+__all__ = ["plan_alltoall_pairwise", "plan_alltoallv_pairwise"]
 
 
-def build_alltoall_pairwise(
-    sched: Sched,
+def _pairwise_round(
     rank: int,
     size: int,
-    sendbuf,
-    recvbuf,
-    count: int,
-    datatype: Datatype,
-) -> None:
-    """Pairwise exchange: ``size - 1`` steps; at step k exchange with
-    ``rank XOR k`` (power-of-two sizes) or send to ``rank + k`` while
-    receiving from ``rank - k`` (general sizes).  Every step touches
-    disjoint buffers, so all steps are posted concurrently.
-
-    ``sendbuf``/``recvbuf`` each hold ``size`` blocks of ``count``
-    elements; the local block is copied directly.
-    """
-    block_bytes = count * datatype.size
-    # Local block: plain copy.
-    src_view = as_readonly_view(sendbuf)
-    local = stage_block(src_view, rank * block_bytes, block_bytes)
-    sched.add_local(
-        copy_fn(local, block_view(recvbuf, rank, block_bytes), block_bytes),
-        label="self-copy",
-    )
-    if size == 1:
-        return
+    sendcounts: Sequence[int],
+    sdispls: Sequence[int],
+    recvcounts: Sequence[int],
+    rdispls: Sequence[int],
+) -> PlanRound:
+    """``size - 1`` exchanges — with ``rank XOR k`` (power-of-two
+    sizes) or to ``rank + k`` / from ``rank - k`` (general sizes).
+    Every exchange touches disjoint extents of the send and receive
+    buffers, so all are posted in one round; the local block is copied
+    directly."""
     is_pof2 = largest_pof2_below(size) == size
+    comms = []
     for step in range(1, size):
         if is_pof2:
-            send_to = recv_from = rank ^ step
+            to = frm = rank ^ step
         else:
-            send_to = (rank + step) % size
-            recv_from = (rank - step + size) % size
-        send_block = stage_block(src_view, send_to * block_bytes, block_bytes)
-        sched.add_send(send_to, send_block, block_bytes, BYTE)
-        sched.add_recv(
-            recv_from,
-            block_view(recvbuf, recv_from, block_bytes),
-            block_bytes,
-            BYTE,
-        )
+            to = (rank + step) % size
+            frm = (rank - step + size) % size
+        comms.append(RecvStep(frm, BUF_USER, rdispls[frm], recvcounts[frm]))
+        comms.append(SendStep(to, BUF_SEND, sdispls[to], sendcounts[to]))
+    own = CopyStep(
+        BUF_SEND,
+        BUF_USER,
+        src_block=sdispls[rank],
+        dst_block=rdispls[rank],
+        nblocks=recvcounts[rank],
+    )
+    return PlanRound(comms=comms, locals=(own,))
+
+
+def plan_alltoall_pairwise(rank: int, size: int) -> Plan:
+    """Both buffers hold ``size`` equal blocks.  Unit: one block."""
+    ones, blocks = [1] * size, range(size)
+    return Plan(
+        "pairwise",
+        [_pairwise_round(rank, size, ones, blocks, ones, blocks)],
+        result_blocks=size,
+    )
+
+
+def plan_alltoallv_pairwise(
+    rank: int,
+    size: int,
+    sendcounts: tuple[int, ...],
+    sdispls: tuple[int, ...],
+    recvcounts: tuple[int, ...],
+    rdispls: tuple[int, ...],
+) -> Plan:
+    """Per-peer counts and displacements (elements): an ``exact`` plan."""
+    return Plan(
+        "pairwise-v",
+        [_pairwise_round(rank, size, sendcounts, sdispls, recvcounts, rdispls)],
+        result_blocks=sum(recvcounts),
+        exact=True,
+    )

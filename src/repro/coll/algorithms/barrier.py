@@ -2,26 +2,22 @@
 
 from __future__ import annotations
 
-from repro.coll.sched import Sched
-from repro.datatype.types import BYTE
+from repro.coll.plan import Plan, PlanRound, RecvStep, SendStep
 
-__all__ = ["build_barrier_dissemination"]
+__all__ = ["plan_barrier_dissemination"]
 
 
-def build_barrier_dissemination(sched: Sched, rank: int, size: int) -> None:
-    """Populate ``sched`` with ceil(log2(size)) rounds of zero-byte
-    exchanges: in round k, send to ``rank + 2^k`` and receive from
-    ``rank - 2^k`` (mod size); each round gates the next."""
-    if size == 1:
-        return
-    empty = bytearray(0)
-    last: int | None = None
+def plan_barrier_dissemination(rank: int, size: int) -> Plan:
+    """ceil(log2(size)) rounds of zero-byte exchanges: in round k, send
+    to ``rank + 2^k`` and receive from ``rank - 2^k`` (mod size); each
+    round gates the next."""
+    rounds = []
     step = 1
     while step < size:
         to = (rank + step) % size
         frm = (rank - step + size) % size
-        deps = [last] if last is not None else []
-        send = sched.add_send(to, empty, 0, BYTE, deps=deps)
-        recv = sched.add_recv(frm, bytearray(0), 0, BYTE, deps=deps)
-        last = sched.add_barrier_on([send, recv])
+        rounds.append(
+            PlanRound(comms=(RecvStep(frm, nblocks=0), SendStep(to, nblocks=0)))
+        )
         step <<= 1
+    return Plan("dissem", rounds, result_blocks=0)

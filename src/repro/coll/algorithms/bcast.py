@@ -2,47 +2,32 @@
 
 from __future__ import annotations
 
-from repro.coll.sched import Sched
-from repro.datatype.types import Datatype
+from repro.coll.plan import Plan, PlanRound, RecvStep, SendStep
 
-__all__ = ["build_bcast_binomial"]
+__all__ = ["plan_bcast_binomial"]
 
 
-def build_bcast_binomial(
-    sched: Sched,
-    rank: int,
-    size: int,
-    root: int,
-    buf,
-    count: int,
-    datatype: Datatype,
-) -> None:
-    """Populate ``sched`` with a binomial broadcast from ``root``.
-
-    Non-root ranks first receive from their tree parent, then forward
-    to their subtree children; all child sends depend only on the
-    parent receive, so they proceed concurrently.
-    """
-    if size == 1:
-        return
+def plan_bcast_binomial(rank: int, size: int, root: int) -> Plan:
+    """Receive from the tree parent (the lowest set bit of the relative
+    rank), then fan out to the whole subtree in one round, so the child
+    sends proceed concurrently.  Unit: the message."""
     relrank = (rank - root) % size
-
-    # Find this rank's parent: the lowest set bit of relrank.
+    rounds: list[PlanRound] = []
     mask = 1
-    recv_vertex: int | None = None
     while mask < size:
         if relrank & mask:
             parent = (rank - mask + size) % size
-            recv_vertex = sched.add_recv(parent, buf, count, datatype)
+            rounds.append(PlanRound(comms=(RecvStep(parent),)))
             break
         mask <<= 1
-
-    # Send to children at decreasing masks below our lowest set bit
-    # (for the root, below the tree height).
+    # Children sit at decreasing masks below our lowest set bit (for
+    # the root, below the tree height).
     mask >>= 1
-    deps = [recv_vertex] if recv_vertex is not None else []
+    children = []
     while mask > 0:
         if relrank + mask < size:
-            child = (rank + mask) % size
-            sched.add_send(child, buf, count, datatype, deps=deps)
+            children.append(SendStep((rank + mask) % size))
         mask >>= 1
+    if children:
+        rounds.append(PlanRound(comms=children))
+    return Plan("binomial", rounds)

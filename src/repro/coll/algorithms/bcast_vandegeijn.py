@@ -9,64 +9,35 @@ the message is bandwidth-bound.
 
 from __future__ import annotations
 
-from repro.coll.algorithms.util import stage_block
-from repro.coll.algorithms.vcoll import build_allgatherv_ring
-from repro.coll.sched import Sched
-from repro.datatype.types import BYTE, Datatype, as_readonly_view, as_writable_view
+from repro.coll.algorithms.allgather import ring_rounds
+from repro.coll.algorithms.util import partition
+from repro.coll.plan import Plan, PlanRound, RecvStep, SendStep
 
-__all__ = ["build_bcast_scatter_allgather"]
+__all__ = ["plan_bcast_scatter_allgather"]
 
 
-def build_bcast_scatter_allgather(
-    sched: Sched,
-    rank: int,
-    size: int,
-    root: int,
-    buf,
-    count: int,
-    datatype: Datatype,
-) -> None:
-    """Populate ``sched``.  On completion every rank's ``buf`` holds the
-    root's ``count`` elements."""
-    if size == 1:
-        return
-    esize = datatype.size
-    base, extra = divmod(count, size)
-    counts = [base + (1 if i < extra else 0) for i in range(size)]
-    displs = [0] * size
-    for i in range(1, size):
-        displs[i] = displs[i - 1] + counts[i - 1]
-
-    # ---- scatter phase (linear from the root) ------------------------
-    initial_deps: list[int] = []
+def plan_bcast_scatter_allgather(rank: int, size: int, root: int, count: int) -> Plan:
+    """On completion every rank's buffer holds the root's ``count``
+    elements.  An ``exact`` plan: the near-equal partition of ``count``
+    over ``size`` blocks is part of the layout."""
+    counts, displs = partition(count, size)
+    rounds = ring_rounds(rank, size, counts, displs)
     if rank == root:
-        src = as_readonly_view(buf)
-        for peer in range(size):
-            if peer == root or counts[peer] == 0:
-                continue
-            block = stage_block(src, displs[peer] * esize, counts[peer] * esize)
-            sched.add_send(peer, block, counts[peer] * esize, BYTE)
-        # root already owns its own block in place
-    else:
-        if counts[rank]:
-            view = as_writable_view(buf)
-            lo = displs[rank] * esize
-            recv = sched.add_recv(
-                root,
-                view[lo : lo + counts[rank] * esize],
-                counts[rank] * esize,
-                BYTE,
-            )
-            initial_deps = [recv]
-
-    # ---- allgather phase (ring over the same blocks) ------------------
-    build_allgatherv_ring(
-        sched,
-        rank,
-        size,
-        buf,
-        counts,
-        displs,
-        datatype,
-        initial_deps=initial_deps,
-    )
+        if size > 1:
+            # Linear scatter, posted with the first ring step: the root
+            # already owns every block.  The scatter sends come first,
+            # so the right neighbor sees its own block before the ring's.
+            scatter = [
+                SendStep(peer, block=displs[peer], nblocks=counts[peer])
+                for peer in range(size)
+                if peer != root and counts[peer]
+            ]
+            rounds[0] = PlanRound(comms=scatter + list(rounds[0].comms))
+    elif counts[rank]:
+        rounds.insert(
+            0,
+            PlanRound(
+                comms=(RecvStep(root, block=displs[rank], nblocks=counts[rank]),)
+            ),
+        )
+    return Plan("scatter-allgather", rounds, result_blocks=count, exact=True)

@@ -3,125 +3,106 @@ ordered linear for non-commutative ones."""
 
 from __future__ import annotations
 
-from repro.coll.algorithms.util import reduce_fn
-from repro.coll.sched import Sched
+from repro.coll.plan import (
+    BUF_SEND,
+    BUF_STAGE,
+    BUF_USER,
+    CopyStep,
+    Plan,
+    PlanRound,
+    RecvStep,
+    ReduceStep,
+    SendStep,
+)
 from repro.datatype.ops import Op
-from repro.datatype.types import Datatype
 
-__all__ = ["build_reduce_binomial"]
+__all__ = ["plan_reduce_binomial", "ordered_reduce_rounds"]
 
 
-def build_reduce_binomial(
-    sched: Sched,
-    rank: int,
-    size: int,
-    root: int,
-    accbuf,
-    tmpbufs: list[bytearray],
-    count: int,
-    datatype: Datatype,
-    op: Op,
-) -> None:
-    """Populate ``sched`` with a reduction towards ``root``.
+def ordered_reduce_rounds(
+    rank: int, size: int, root: int, op: Op, width: int = 1
+) -> list[PlanRound]:
+    """Rank-ordered linear reduce of ``width``-unit contributions, for
+    non-commutative operations.
 
-    ``accbuf`` holds this rank's contribution and accumulates partial
-    results.  ``tmpbufs`` supplies one scratch buffer per child receive
-    (``ceil(log2 size)`` suffices; the comm layer allocates them).
-
-    Commutative path: binomial tree on relative ranks — receives from
-    all children are posted immediately and reductions chain in arrival
-    (mask) order.  Non-commutative path: every rank sends to root,
-    which reduces strictly in rank order.
+    Every rank sends to the root, which stages all ``size``
+    contributions rank-indexed (``size * width`` staging units) and
+    folds them right-to-left into the last one:
+    ``acc = b_{p-1}; acc = b_k (op) acc`` for k from ``p-2`` down to 0
+    — by associativity the rank-ordered ``b_0 (op) ... (op) b_{p-1}``
+    MPI requires.  The result is left in staging block
+    ``(size - 1) * width``.
     """
-    if size == 1:
-        return
-
-    if not op.commutative:
-        _build_reduce_linear_ordered(
-            sched, rank, size, root, accbuf, tmpbufs, count, datatype, op
+    if rank != root:
+        return [PlanRound(comms=(SendStep(root, BUF_SEND, nblocks=width),))]
+    acc = (size - 1) * width
+    folds = [
+        ReduceStep(
+            op, BUF_STAGE, BUF_STAGE, src_block=k * width, dst_block=acc, nblocks=width
         )
-        return
+        for k in range(size - 2, -1, -1)
+    ]
+    return [
+        PlanRound(
+            comms=[
+                RecvStep(peer, BUF_STAGE, peer * width, width)
+                for peer in range(size)
+                if peer != root
+            ],
+            locals=[
+                CopyStep(BUF_SEND, BUF_STAGE, dst_block=root * width, nblocks=width),
+                *folds,
+            ],
+        )
+    ]
+
+
+def plan_reduce_binomial(rank: int, size: int, root: int, op: Op) -> Plan:
+    """Reduce the send buffers into the root's user buffer.  Unit: the
+    message.
+
+    Commutative path: binomial tree on relative ranks — the receives
+    from all children are posted together, one staging block each, and
+    folded in mask order into an accumulator (the user buffer at the
+    root, staging block 0 elsewhere) that then goes to the parent.  A
+    leaf sends its send buffer in place.
+    """
+    if not op.commutative:
+        rounds = ordered_reduce_rounds(rank, size, root, op)
+        if rank != root:
+            return Plan("linear-ordered", rounds)
+        rounds.append(
+            PlanRound(locals=(CopyStep(BUF_STAGE, BUF_USER, src_block=size - 1),))
+        )
+        return Plan("linear-ordered", rounds, stage_blocks=size)
 
     relrank = (rank - root) % size
+    parent = None
+    children = []
     mask = 1
-    child_index = 0
-    last_reduce: int | None = None
     while mask < size:
         if relrank & mask:
             parent = ((relrank & ~mask) + root) % size
-            deps = [last_reduce] if last_reduce is not None else []
-            sched.add_send(parent, accbuf, count, datatype, deps=deps)
-            return
-        child_rel = relrank | mask
-        if child_rel < size:
-            child = (child_rel + root) % size
-            tmp = tmpbufs[child_index]
-            child_index += 1
-            recv = sched.add_recv(child, tmp, count, datatype)
-            deps = [recv] if last_reduce is None else [recv, last_reduce]
-            last_reduce = sched.add_local(
-                reduce_fn(op, tmp, accbuf, count, datatype, in_first=True),
-                deps=deps,
-                label=f"reduce-{mask}",
-            )
+            break
+        if relrank | mask < size:
+            children.append(((relrank | mask) + root) % size)
         mask <<= 1
-    # The root falls out of the loop with everything reduced into accbuf.
+    if not children and parent is not None:
+        return Plan("binomial", [PlanRound(comms=(SendStep(parent, BUF_SEND),))])
 
-
-def _build_reduce_linear_ordered(
-    sched: Sched,
-    rank: int,
-    size: int,
-    root: int,
-    accbuf,
-    tmpbufs: list[bytearray],
-    count: int,
-    datatype: Datatype,
-    op: Op,
-) -> None:
-    """Rank-ordered linear reduce for non-commutative operations.
-
-    The root receives every other rank's contribution and folds them
-    right-to-left: ``acc = b_{p-1}; acc = b_k (op) acc`` for k from
-    ``p-2`` down to 0 — which by associativity equals the rank-ordered
-    ``b_0 (op) b_1 (op) ... (op) b_{p-1}`` MPI requires.
-
-    Needs ``size`` scratch buffers: ``size - 1`` receive buffers plus
-    one to park the root's own contribution before ``accbuf`` is
-    repurposed as the accumulator.
-    """
-    nbytes = count * datatype.size
-    if rank != root:
-        sched.add_send(root, accbuf, count, datatype)
-        return
-    from repro.coll.algorithms.util import copy_fn
-
-    own_tmp = tmpbufs[size - 1]
-    save_own = sched.add_local(
-        copy_fn(accbuf, own_tmp, nbytes), label="save-own"
-    )
-    recvs: dict[int, int] = {}
-    bufs: dict[int, bytearray] = {}
-    idx = 0
-    for peer in range(size):
-        if peer == root:
-            bufs[peer] = own_tmp
-            continue
-        tmp = tmpbufs[idx]
-        idx += 1
-        recvs[peer] = sched.add_recv(peer, tmp, count, datatype)
-        bufs[peer] = tmp
-    # Seed the accumulator with the highest rank's contribution ...
-    top = size - 1
-    seed_deps = [save_own] + ([recvs[top]] if top != root else [])
-    last = sched.add_local(
-        copy_fn(bufs[top], accbuf, nbytes), deps=seed_deps, label="seed"
-    )
-    # ... then fold downwards: acc = b_peer (op) acc.
-    for peer in range(size - 2, -1, -1):
-        deps = [last] + ([recvs[peer]] if peer != root else [])
-        last = sched.add_local(
-            reduce_fn(op, bufs[peer], accbuf, count, datatype, in_first=True),
-            deps=deps,
-            label=f"ordered-reduce-{peer}",
+    acc, first = (BUF_USER, 0) if parent is None else (BUF_STAGE, 1)
+    rounds = [
+        PlanRound(
+            comms=[RecvStep(c, BUF_STAGE, first + i) for i, c in enumerate(children)],
+            locals=[
+                CopyStep(BUF_SEND, acc),
+                *(
+                    ReduceStep(op, BUF_STAGE, acc, src_block=first + i)
+                    for i in range(len(children))
+                ),
+            ],
         )
+    ]
+    if parent is not None:
+        rounds.append(PlanRound(comms=(SendStep(parent, BUF_STAGE),)))
+    return Plan("binomial", rounds, stage_blocks=first + len(children))

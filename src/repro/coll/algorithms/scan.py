@@ -8,79 +8,67 @@ rank-ordered, so it is correct for non-commutative operations too.
 
 from __future__ import annotations
 
-from repro.coll.algorithms.util import copy_fn, reduce_fn
-from repro.coll.sched import Sched
+from repro.coll.plan import (
+    BUF_SEND,
+    BUF_STAGE,
+    BUF_USER,
+    CopyStep,
+    Plan,
+    PlanRound,
+    RecvStep,
+    ReduceStep,
+    SendStep,
+)
 from repro.datatype.ops import Op
-from repro.datatype.types import Datatype
 
-__all__ = ["build_scan_chain", "build_exscan_chain"]
+__all__ = ["plan_scan_chain", "plan_exscan_chain"]
 
 
-def build_scan_chain(
-    sched: Sched,
-    rank: int,
-    size: int,
-    recvbuf,
-    tmpbuf,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-) -> None:
-    """Inclusive scan: ``recvbuf`` starts as the local contribution and
-    ends as ``b_0 (op) ... (op) b_rank``."""
-    if size == 1:
-        return
-    deps: list[int] = []
+def plan_scan_chain(rank: int, size: int, op: Op) -> Plan:
+    """Inclusive scan, in place: the user buffer starts as the local
+    contribution and ends as ``b_0 (op) ... (op) b_rank``.  Unit: the
+    message."""
+    rounds = []
     if rank > 0:
-        recv = sched.add_recv(rank - 1, tmpbuf, count, datatype)
         # prefix(0..r-1) comes from the lower ranks => it is the first
-        # operand: recvbuf = tmp (op) recvbuf.
-        fold = sched.add_local(
-            reduce_fn(op, tmpbuf, recvbuf, count, datatype, in_first=True),
-            deps=[recv],
-            label="scan-fold",
+        # operand: user = stage (op) user.
+        rounds.append(
+            PlanRound(
+                comms=(RecvStep(rank - 1, BUF_STAGE),),
+                locals=(ReduceStep(op, BUF_STAGE, BUF_USER),),
+            )
         )
-        deps = [fold]
     if rank < size - 1:
-        sched.add_send(rank + 1, recvbuf, count, datatype, deps=deps)
+        rounds.append(PlanRound(comms=(SendStep(rank + 1),)))
+    return Plan("chain", rounds, stage_blocks=1 if rank > 0 else 0)
 
 
-def build_exscan_chain(
-    sched: Sched,
-    rank: int,
-    size: int,
-    recvbuf,
-    own_contrib: bytes,
-    tmpbuf,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-) -> None:
-    """Exclusive scan: rank r's ``recvbuf`` ends as
-    ``b_0 (op) ... (op) b_{r-1}`` (undefined on rank 0, left untouched).
-
-    ``own_contrib`` is a snapshot of this rank's input (the forwarded
-    inclusive prefix needs it even though recvbuf holds the exclusive
-    result).
-    """
-    if size == 1:
-        return
-    nbytes = count * datatype.size
+def plan_exscan_chain(rank: int, size: int, op: Op) -> Plan:
+    """Exclusive scan: rank r's user buffer ends as
+    ``b_0 (op) ... (op) b_{r-1}`` (untouched on rank 0, per MPI); the
+    send buffer holds the contribution (it may alias the user buffer).
+    Unit: the message."""
+    if rank == size - 1:
+        # Nothing to forward: the incoming prefix IS the result.
+        rounds = [PlanRound(comms=(RecvStep(rank - 1),))] if rank > 0 else []
+        return Plan("chain", rounds)
     if rank == 0:
-        # Forward just the local contribution.
-        sched.add_send(1, own_contrib, count, datatype)
-        return
-    recv = sched.add_recv(rank - 1, tmpbuf, count, datatype)
-    # The exclusive result IS the incoming prefix.
-    store = sched.add_local(
-        copy_fn(tmpbuf, recvbuf, nbytes), deps=[recv], label="exscan-store"
+        return Plan("chain", [PlanRound(comms=(SendStep(1, BUF_SEND),))])
+    # Forward the inclusive prefix (stage 1 = prefix (op) own) and keep
+    # the exclusive one; the contribution is read before the user
+    # buffer it may alias is overwritten.
+    return Plan(
+        "chain",
+        [
+            PlanRound(
+                comms=(RecvStep(rank - 1, BUF_STAGE),),
+                locals=(
+                    CopyStep(BUF_SEND, BUF_STAGE, dst_block=1),
+                    ReduceStep(op, BUF_STAGE, BUF_STAGE, dst_block=1),
+                    CopyStep(BUF_STAGE, BUF_USER),
+                ),
+            ),
+            PlanRound(comms=(SendStep(rank + 1, BUF_STAGE, 1),)),
+        ],
+        stage_blocks=2,
     )
-    if rank < size - 1:
-        # Forward the inclusive prefix: prefix (op) own.
-        inclusive = bytearray(own_contrib)
-        fold = sched.add_local(
-            reduce_fn(op, tmpbuf, inclusive, count, datatype, in_first=True),
-            deps=[recv],
-            label="exscan-fold",
-        )
-        sched.add_send(rank + 1, inclusive, count, datatype, deps=[fold, store])

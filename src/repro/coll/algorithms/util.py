@@ -1,73 +1,8 @@
-"""Shared helpers for collective algorithm builders."""
+"""Shared helpers for collective planners."""
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.datatype.ops import Op
-from repro.datatype.types import Datatype, as_readonly_view, as_writable_view
-
-__all__ = ["block_view", "stage_block", "copy_fn", "reduce_fn", "largest_pof2_below"]
-
-
-def block_view(buf, index: int, block_bytes: int) -> memoryview:
-    """Writable view of block ``index`` of a contiguous buffer."""
-    view = as_writable_view(buf)
-    return view[index * block_bytes : (index + 1) * block_bytes]
-
-
-def stage_block(src, offset_bytes: int, nbytes: int) -> memoryview:
-    """Read-only subview of one block of a contiguous send buffer.
-
-    Collectives hand these straight to the send path, which snapshots
-    or pool-stages at issue time only where the protocol needs payload
-    ownership — replacing the unconditional per-block ``bytes(...)``
-    copies the algorithms used to make.
-    """
-    return as_readonly_view(src)[offset_bytes : offset_bytes + nbytes]
-
-
-def copy_fn(src, dst, nbytes: int) -> Callable[[], None]:
-    """Deferred ``dst[:n] = src[:n]`` for a local vertex."""
-
-    def run() -> None:
-        if nbytes:
-            as_writable_view(dst)[:nbytes] = as_readonly_view(src)[:nbytes]
-
-    return run
-
-
-def reduce_fn(
-    op: Op,
-    inbuf,
-    inoutbuf,
-    count: int,
-    datatype: Datatype,
-    *,
-    in_first: bool = True,
-) -> Callable[[], None]:
-    """Deferred rank-ordered local reduction for a local vertex.
-
-    ``in_first=True`` computes ``inout = in (op) inout`` (the incoming
-    data is the earlier-ranked operand).  ``in_first=False`` computes
-    ``inout = inout (op) in`` by staging through a temporary, which is
-    what non-commutative operations need when the incoming data comes
-    from a higher rank.
-    """
-    if op.commutative or in_first:
-
-        def run() -> None:
-            op.apply(inbuf, inoutbuf, count, datatype)
-
-    else:
-
-        def run() -> None:
-            tmp = bytearray(as_readonly_view(inbuf)[: count * datatype.size])
-            # tmp := inout (op) in, then inout := tmp
-            op.apply(inoutbuf, tmp, count, datatype)
-            as_writable_view(inoutbuf)[: count * datatype.size] = tmp
-
-    return run
+__all__ = ["largest_pof2_below", "partition"]
 
 
 def largest_pof2_below(n: int) -> int:
@@ -76,3 +11,15 @@ def largest_pof2_below(n: int) -> int:
     while p * 2 <= n:
         p *= 2
     return p
+
+
+def partition(count: int, parts: int) -> tuple[list[int], list[int]]:
+    """Split ``count`` elements into ``parts`` near-equal contiguous
+    blocks (the first ``count % parts`` get one extra); returns
+    ``(counts, displs)``."""
+    base, extra = divmod(count, parts)
+    counts = [base + (1 if i < extra else 0) for i in range(parts)]
+    displs = [0] * parts
+    for i in range(1, parts):
+        displs[i] = displs[i - 1] + counts[i - 1]
+    return counts, displs

@@ -1,280 +1,22 @@
-"""Collective schedules: DAGs of communication/computation vertices.
+"""The collective-schedule progress subsystem
+(``Collective_sched_progress`` in Listing 1.1).
 
-A :class:`Sched` is built once per collective call (by the algorithm
-modules in :mod:`repro.coll.algorithms`), then advanced by the
-collective-schedule progress subsystem.  Vertices issue their work when
-every dependency is done:
-
-* ``send`` / ``recv`` vertices post p2p operations and are done when
-  the underlying request completes — checked with the side-effect-free
-  ``Request.is_complete`` (the schedule never recursively invokes
-  progress, honoring the section 3.4 rule);
-* ``local`` vertices run a Python callable (copy, reduce_local, ...)
-  and are done immediately.
-
-The schedule's own :class:`~repro.core.request.Request` completes when
-the last vertex does.
+Owns the in-flight native collectives — each a bound
+:class:`~repro.coll.plan.PlanExecutor` — per VCI, and polls them from
+the progress engine.  The executor never recursively invokes progress:
+it checks its round's requests with the side-effect-free
+``Request.is_complete`` (the section 3.4 rule).
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Any, Callable
+import threading
 
+from repro.coll.plan import PlanExecutor
+from repro.core.async_ext import ASYNC_DONE, ASYNC_NOPROGRESS
 from repro.core.request import Request
-from repro.datatype.types import Datatype
-from repro.errors import error_code_for
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.p2p.protocol import P2PEngine
-
-__all__ = ["Sched", "CollSchedEngine"]
-
-_WAITING = 0
-_ISSUED = 1
-_DONE = 2
-
-
-class _Vertex:
-    __slots__ = ("index", "kind", "spec", "state", "deps", "succs", "req")
-
-    def __init__(self, index: int, kind: str, spec: dict[str, Any]) -> None:
-        self.index = index
-        self.kind = kind  # 'send' | 'recv' | 'local'
-        self.spec = spec
-        self.state = _WAITING
-        self.deps: set[int] = set()
-        self.succs: list[int] = []
-        self.req: Request | None = None
-
-
-class Sched:
-    """One in-flight collective schedule.
-
-    Parameters
-    ----------
-    p2p:
-        The owning rank's p2p engine (vertices post through it).
-    vci:
-        VCI/stream the collective runs on.
-    context_id:
-        The communicator's *collective* context id (distinct from its
-        point-to-point context so user traffic can never match).
-    tag:
-        Per-collective sequence tag; identical on all ranks because MPI
-        requires collectives to be called in the same order everywhere.
-    rank_map:
-        Comm-rank -> world-rank translation (algorithms speak comm
-        ranks; the p2p engine speaks world ranks).  Identity when None.
-    vci_map:
-        Comm-rank -> destination VCI (stream communicators exchange
-        these at creation).  All zeros when None.
-    """
-
-    _ids = itertools.count(1)
-
-    def __init__(
-        self,
-        p2p: "P2PEngine",
-        vci: int,
-        context_id: int,
-        tag: int,
-        rank_map: list[int] | None = None,
-        vci_map: list[int] | None = None,
-    ) -> None:
-        self.sched_id = next(Sched._ids)
-        self.p2p = p2p
-        self.vci = vci
-        self.context_id = context_id
-        self.tag = tag
-        self.rank_map = rank_map
-        self.vci_map = vci_map
-        self.vertices: list[_Vertex] = []
-        self.request = Request("coll")
-        self._remaining = 0
-        self._started = False
-
-    # ------------------------------------------------------------------
-    # Build phase.
-    # ------------------------------------------------------------------
-    def _add(self, kind: str, spec: dict[str, Any], deps) -> int:
-        v = _Vertex(len(self.vertices), kind, spec)
-        for d in deps or ():
-            v.deps.add(d)
-            self.vertices[d].succs.append(v.index)
-        self.vertices.append(v)
-        self._remaining += 1
-        return v.index
-
-    def add_send(
-        self,
-        peer: int,
-        buf,
-        count: int,
-        datatype: Datatype,
-        *,
-        deps=(),
-    ) -> int:
-        """Add a send-to-``peer`` vertex; returns its id for dependencies."""
-        return self._add(
-            "send",
-            {"peer": peer, "buf": buf, "count": count, "datatype": datatype},
-            deps,
-        )
-
-    def add_recv(
-        self,
-        peer: int,
-        buf,
-        count: int,
-        datatype: Datatype,
-        *,
-        deps=(),
-    ) -> int:
-        """Add a receive-from-``peer`` vertex."""
-        return self._add(
-            "recv",
-            {"peer": peer, "buf": buf, "count": count, "datatype": datatype},
-            deps,
-        )
-
-    def add_local(self, fn: Callable[[], None], *, deps=(), label: str = "local") -> int:
-        """Add a local-work vertex (copy, reduce_local, ...)."""
-        return self._add("local", {"fn": fn, "label": label}, deps)
-
-    def add_barrier_on(self, deps) -> int:
-        """A no-op vertex gating on all of ``deps`` (fan-in point)."""
-        return self.add_local(lambda: None, deps=deps, label="barrier")
-
-    # ------------------------------------------------------------------
-    # Execution phase.
-    # ------------------------------------------------------------------
-    def start(self) -> Request:
-        """Issue all dependency-free vertices; returns the sched request."""
-        self._started = True
-        if not self.vertices:
-            self.request.complete()
-            return self.request
-        for v in self.vertices:
-            # A vertex may already have been issued (or even completed)
-            # by the instant-completion cascade of an earlier vertex in
-            # this same loop — only issue the still-waiting ones.
-            if not v.deps and v.state == _WAITING:
-                self._issue(v)
-        self._harvest()
-        return self.request
-
-    def _issue(self, v: _Vertex) -> None:
-        assert v.state == _WAITING, f"vertex {v.index} issued twice"
-        spec = v.spec
-        if v.kind == "send":
-            peer = spec["peer"]
-            world_peer = self.rank_map[peer] if self.rank_map else peer
-            dst_vci = self.vci_map[peer] if self.vci_map else self.vci
-            v.req = self.p2p.isend(
-                self.vci,
-                world_peer,
-                dst_vci,
-                spec["buf"],
-                spec["count"],
-                spec["datatype"],
-                self.tag,
-                self.context_id,
-            )
-        elif v.kind == "recv":
-            peer = spec["peer"]
-            world_peer = self.rank_map[peer] if self.rank_map else peer
-            v.req = self.p2p.irecv(
-                self.vci,
-                spec["buf"],
-                spec["count"],
-                spec["datatype"],
-                world_peer,
-                self.tag,
-                self.context_id,
-            )
-        else:  # local
-            spec["fn"]()
-            self._mark_done(v)
-            return
-        v.state = _ISSUED
-        if v.req.is_complete():
-            if v.req.exception is not None:
-                # e.g. a fast-failed post to a known-dead peer
-                self.abort(v.req.exception)
-            else:
-                self._mark_done(v)
-
-    def _mark_done(self, v: _Vertex) -> None:
-        if v.state == _DONE:
-            return
-        v.state = _DONE
-        self._remaining -= 1
-        for si in v.succs:
-            succ = self.vertices[si]
-            succ.deps.discard(v.index)
-            if not succ.deps and succ.state == _WAITING:
-                self._issue(succ)
-
-    def abort(self, exc: BaseException) -> None:
-        """Fail the whole schedule (peer death, delivery failure, or
-        comm revoke).
-
-        Still-pending receive vertices are cancelled so they can never
-        match stale traffic; in-flight sends are left to drain (the
-        link-failure sweep reclaims any addressed to a dead peer).  The
-        schedule's request completes carrying ``exc`` — the comm-level
-        wait surfaces it per the communicator's errhandler.  Idempotent.
-        """
-        if self.request.is_complete():
-            return
-        for v in self.vertices:
-            if (
-                v.kind == "recv"
-                and v.state == _ISSUED
-                and v.req is not None
-                and not v.req.is_complete()
-            ):
-                self.p2p.cancel_recv(self.vci, v.req)
-        self.request.fail(exc, error_code_for(exc))
-
-    def _harvest(self) -> bool:
-        """Poll issued vertices; returns True if any became done."""
-        made = False
-        # Scan repeatedly so a chain of instantly-complete vertices
-        # retires in a single pass.
-        progressed = True
-        while progressed:
-            progressed = False
-            for v in self.vertices:
-                if v.state == _ISSUED and v.req is not None and v.req.is_complete():
-                    if v.req.exception is not None:
-                        # A vertex failed (peer died / delivery gave
-                        # up): the collective cannot complete.
-                        self.abort(v.req.exception)
-                        return True
-                    self._mark_done(v)
-                    made = True
-                    progressed = True
-        if self._remaining == 0 and not self.request.is_complete():
-            self.request.complete()
-        return made
-
-    def progress(self) -> bool:
-        """One collated-progress step; True if the schedule advanced."""
-        if self.request.is_complete():
-            return False
-        return self._harvest()
-
-    @property
-    def done(self) -> bool:
-        return self.request.is_complete()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Sched(#{self.sched_id}, {len(self.vertices)} vertices, "
-            f"{self._remaining} remaining)"
-        )
+__all__ = ["CollSchedEngine"]
 
 
 class CollSchedEngine:
@@ -285,18 +27,16 @@ class CollSchedEngine:
     """
 
     def __init__(self) -> None:
-        import threading
-
-        # Per-VCI schedule lists.  Each list is only mutated under its
+        # Per-VCI executor lists.  Each list is only mutated under its
         # stream's lock; the dict itself is guarded for concurrent
         # first-use from different streams.  The list OBJECT per VCI is
         # stable for the engine's lifetime (mutated in place, never
         # rebound) so the progress engine's pending-work registry can
         # hold a direct reference and test its truthiness.
-        self._active: dict[int, list[Sched]] = {}
+        self._active: dict[int, list[PlanExecutor]] = {}
         self._dict_lock = threading.Lock()
 
-    def work_list(self, vci: int) -> list[Sched]:
+    def work_list(self, vci: int) -> list[PlanExecutor]:
         """The stable active-schedule list for ``vci`` (registry hook)."""
         lst = self._active.get(vci)
         if lst is None:
@@ -304,15 +44,14 @@ class CollSchedEngine:
                 lst = self._active.setdefault(vci, [])
         return lst
 
-    def submit(self, sched: Sched) -> Request:
+    def submit(self, executor: PlanExecutor) -> Request:
         """Start a schedule and track it until completion.
 
         Caller must hold the owning stream's lock (the comm layer does).
         """
-        req = sched.start()
-        if not sched.done:
-            self.work_list(sched.vci).append(sched)
-        return req
+        if executor.start() != ASYNC_DONE:
+            self.work_list(executor.comm.stream.vci).append(executor)
+        return executor.request
 
     @property
     def active_count(self) -> int:
@@ -338,10 +77,11 @@ class CollSchedEngine:
         i = 0
         while i < len(scheds):
             sched = scheds[i]
-            if sched.progress():
+            status = sched.poll()
+            if status != ASYNC_NOPROGRESS:
                 made = True
                 advanced += 1
-            if sched.done:
+            if status == ASYNC_DONE:
                 last = scheds.pop()
                 if last is not sched:
                     # the swapped-in tail schedule is re-examined at i

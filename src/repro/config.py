@@ -273,11 +273,11 @@ class RuntimeConfig:
     buffer_pool_size_classes: int = 16
 
     # ------------------------------------------------------------------
-    # Compiled-schedule plan cache (user-level collectives).
+    # Compiled-schedule plan cache (native and user-level collectives).
     # ------------------------------------------------------------------
-    #: When True (the default), user-level collectives compile their
-    #: comm graph into a flat-step :class:`~repro.exts.schedule_ext.Plan`
-    #: once and replay it from the cache on subsequent calls.  When
+    #: When True (the default), collectives compile their comm graph
+    #: into a flat-step :class:`~repro.coll.plan.Plan` once per shape
+    #: and replay it from the cache on subsequent calls.  When
     #: False every call re-plans — the documented off-switch for
     #: differential benchmarking of cold planning vs cached replay.
     schedule_cache_enabled: bool = True

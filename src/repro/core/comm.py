@@ -16,25 +16,26 @@ from typing import TYPE_CHECKING, Any
 from repro.core.request import Request, Status
 from repro.core.stream import MpixStream
 from repro.coll.algorithms import (
-    build_allgather_ring,
-    build_allgatherv_ring,
-    build_allreduce_rabenseifner,
-    build_allreduce_recursive_doubling,
-    build_alltoall_pairwise,
-    build_alltoallv_pairwise,
-    build_barrier_dissemination,
-    build_bcast_binomial,
-    build_bcast_scatter_allgather,
-    build_exscan_chain,
-    build_gather_linear,
-    build_gatherv_linear,
-    build_reduce_binomial,
-    build_reduce_scatter_pairwise,
-    build_scan_chain,
-    build_scatter_linear,
-    build_scatterv_linear,
+    plan_allgather_ring,
+    plan_allgatherv_ring,
+    plan_allreduce_rabenseifner,
+    plan_allreduce_recursive_doubling,
+    plan_alltoall_pairwise,
+    plan_alltoallv_pairwise,
+    plan_barrier_dissemination,
+    plan_bcast_binomial,
+    plan_bcast_scatter_allgather,
+    plan_exscan_chain,
+    plan_gather_linear,
+    plan_gatherv_linear,
+    plan_reduce_binomial,
+    plan_reduce_scatter_ordered,
+    plan_reduce_scatter_pairwise,
+    plan_scan_chain,
+    plan_scatter_linear,
+    plan_scatterv_linear,
 )
-from repro.coll.sched import Sched
+from repro.coll.plan import Plan, PlanExecutor, plan_for
 from repro.datatype.ops import SUM, Op
 from repro.datatype.types import (
     BYTE,
@@ -526,32 +527,44 @@ class Comm:
         )
 
     # ------------------------------------------------------------------
-    # Collectives: nonblocking builders.
+    # Collectives: nonblocking.  Each picks an algorithm, fetches its
+    # plan (cached per comm in ``proc.plan_cache``) and hands it to the
+    # collective progress subsystem.
     # ------------------------------------------------------------------
-    def _new_sched(self) -> Sched:
+    def start_plan(
+        self, plan: Plan, recvbuf, count: int, datatype: Datatype, sendbuf=None
+    ) -> Request:
+        """Run ``plan`` as a native collective on this communicator:
+        posted on the collective context under the next collective
+        sequence tag, progressed by ``proc.coll_engine``."""
         tag = self._coll_seq
         self._coll_seq += 1
-        return Sched(
-            self.proc.p2p,
-            self.stream.vci,
-            self.coll_context_id,
-            tag,
-            rank_map=self.ranks,
-            vci_map=self.peer_vcis,
-        )
+        p2p = self.proc.p2p
+        vci = self.stream.vci
+        ctx = self.coll_context_id
+        ranks = self.ranks
+        vcis = self.peer_vcis
 
-    def _submit(self, sched: Sched) -> Request:
-        # Stamp before start: a schedule that fast-fails (known-dead
+        def post_send(view, n: int, dt: Datatype, peer: int, tag: int) -> Request:
+            return p2p.isend(vci, ranks[peer], vcis[peer], view, n, dt, tag, ctx)
+
+        def post_recv(view, n: int, dt: Datatype, peer: int, tag: int) -> Request:
+            return p2p.irecv(vci, view, n, dt, ranks[peer], tag, ctx)
+
+        req = Request("coll")
+        # Stamped before start: a collective that fast-fails (known-dead
         # peer) must already carry the comm's error disposition.
-        sched.request.errhandler = self.errhandler
+        req.errhandler = self.errhandler
         with self.stream.lock:
-            return self.proc.coll_engine.submit(sched)
+            executor = PlanExecutor(
+                plan, self, (post_send, post_recv), tag, recvbuf, count, datatype, req, sendbuf
+            )
+            return self.proc.coll_engine.submit(executor)
 
     def ibarrier(self) -> Request:
         self._check()
-        sched = self._new_sched()
-        build_barrier_dissemination(sched, self.rank, self.size)
-        return self._submit(sched)
+        plan = plan_for(self, plan_barrier_dissemination)
+        return self.start_plan(plan, None, 0, BYTE)
 
     def ibcast(self, buf, count: int, datatype: Datatype, root: int = 0) -> Request:
         """Nonblocking broadcast.
@@ -562,21 +575,17 @@ class Comm:
         """
         self._check()
         self._world_rank(root)
-        sched = self._new_sched()
         cfg = self.proc.config
+        nbytes = count * datatype.size
         algo = cfg.bcast_algorithm
         if algo == "auto":
-            long_msg = count * datatype.size > cfg.bcast_long_threshold
+            long_msg = nbytes > cfg.bcast_long_threshold
             algo = "scatter_allgather" if long_msg and self.size > 1 else "binomial"
         if algo == "scatter_allgather":
-            build_bcast_scatter_allgather(
-                sched, self.rank, self.size, root, buf, count, datatype
-            )
+            plan = plan_for(self, plan_bcast_scatter_allgather, root, count)
         else:
-            build_bcast_binomial(
-                sched, self.rank, self.size, root, buf, count, datatype
-            )
-        return self._submit(sched)
+            plan = plan_for(self, plan_bcast_binomial, root, nbytes=nbytes)
+        return self.start_plan(plan, buf, count, datatype)
 
     def iallreduce(
         self,
@@ -598,8 +607,6 @@ class Comm:
         nbytes = count * datatype.size
         if sendbuf is not IN_PLACE:
             as_writable_view(recvbuf)[:nbytes] = as_readonly_view(sendbuf)[:nbytes]
-        sched = self._new_sched()
-        tmpbuf = bytearray(max(nbytes, 1))
         cfg = self.proc.config
         algo = cfg.allreduce_algorithm
         if algo == "auto":
@@ -609,14 +616,10 @@ class Comm:
                 else "recursive_doubling"
             )
         if algo == "rabenseifner" and op.commutative:
-            build_allreduce_rabenseifner(
-                sched, self.rank, self.size, recvbuf, tmpbuf, count, datatype, op
-            )
+            plan = plan_for(self, plan_allreduce_rabenseifner, op, count)
         else:
-            build_allreduce_recursive_doubling(
-                sched, self.rank, self.size, recvbuf, tmpbuf, count, datatype, op
-            )
-        return self._submit(sched)
+            plan = plan_for(self, plan_allreduce_recursive_doubling, op, nbytes=nbytes)
+        return self.start_plan(plan, recvbuf, count, datatype)
 
     def ireduce(
         self,
@@ -631,26 +634,14 @@ class Comm:
         at the root; non-roots may pass None."""
         self._check()
         self._world_rank(root)
-        nbytes = count * datatype.size
-        # Every rank accumulates in a private buffer (the root's doubles
-        # as the result, copied out at the end).
-        accbuf = bytearray(max(nbytes, 1))
-        if sendbuf is IN_PLACE and self.rank == root:
-            accbuf[:nbytes] = as_readonly_view(recvbuf)[:nbytes]
-        else:
-            accbuf[:nbytes] = as_readonly_view(sendbuf)[:nbytes]
-        n_tmp = self.size if not op.commutative else max(self.size.bit_length(), 1)
-        tmpbufs = [bytearray(max(nbytes, 1)) for _ in range(n_tmp)]
-        sched = self._new_sched()
-        build_reduce_binomial(
-            sched, self.rank, self.size, root, accbuf, tmpbufs, count, datatype, op
+        if sendbuf is IN_PLACE:
+            sendbuf = recvbuf
+        plan = plan_for(
+            self, plan_reduce_binomial, root, op, nbytes=count * datatype.size
         )
-        if self.rank == root:
-            from repro.coll.algorithms.util import copy_fn
-
-            deps = [v.index for v in sched.vertices]
-            sched.add_local(copy_fn(accbuf, recvbuf, nbytes), deps=deps, label="out")
-        return self._submit(sched)
+        return self.start_plan(
+            plan, recvbuf if self.rank == root else None, count, datatype, sendbuf
+        )
 
     def iallgather(
         self, sendbuf, recvbuf, count: int, datatype: Datatype
@@ -664,40 +655,34 @@ class Comm:
             view[self.rank * block : (self.rank + 1) * block] = as_readonly_view(
                 sendbuf
             )[:block]
-        sched = self._new_sched()
-        build_allgather_ring(sched, self.rank, self.size, recvbuf, count, datatype)
-        return self._submit(sched)
+        plan = plan_for(self, plan_allgather_ring, nbytes=block)
+        return self.start_plan(plan, recvbuf, count, datatype)
 
     def ialltoall(self, sendbuf, recvbuf, count: int, datatype: Datatype) -> Request:
         """Nonblocking alltoall; both buffers hold ``size*count`` elements."""
         self._check()
-        sched = self._new_sched()
-        build_alltoall_pairwise(
-            sched, self.rank, self.size, sendbuf, recvbuf, count, datatype
-        )
-        return self._submit(sched)
+        plan = plan_for(self, plan_alltoall_pairwise, nbytes=count * datatype.size)
+        return self.start_plan(plan, recvbuf, count, datatype, sendbuf)
 
     def igather(
         self, sendbuf, recvbuf, count: int, datatype: Datatype, root: int = 0
     ) -> Request:
         self._check()
         self._world_rank(root)
-        sched = self._new_sched()
-        build_gather_linear(
-            sched, self.rank, self.size, root, sendbuf, recvbuf, count, datatype
+        plan = plan_for(self, plan_gather_linear, root, nbytes=count * datatype.size)
+        return self.start_plan(
+            plan, recvbuf if self.rank == root else None, count, datatype, sendbuf
         )
-        return self._submit(sched)
 
     def iscatter(
         self, sendbuf, recvbuf, count: int, datatype: Datatype, root: int = 0
     ) -> Request:
         self._check()
         self._world_rank(root)
-        sched = self._new_sched()
-        build_scatter_linear(
-            sched, self.rank, self.size, root, sendbuf, recvbuf, count, datatype
+        plan = plan_for(self, plan_scatter_linear, root, nbytes=count * datatype.size)
+        return self.start_plan(
+            plan, recvbuf, count, datatype, sendbuf if self.rank == root else None
         )
-        return self._submit(sched)
 
     def ireduce_scatter_block(
         self,
@@ -712,65 +697,16 @@ class Comm:
         its own ``count``-element block into ``recvbuf``.
 
         Commutative operations use pairwise exchange; non-commutative
-        ones compose a rank-ordered reduce with a scatter in one
-        schedule.
+        ones compose a rank-ordered reduce with a scatter in one plan.
         """
         self._check()
-        nbytes = count * datatype.size
-        sched = self._new_sched()
-        if op.commutative:
-            accbuf = bytearray(max(nbytes, 1))
-            accbuf[:nbytes] = as_readonly_view(sendbuf)[
-                self.rank * nbytes : (self.rank + 1) * nbytes
-            ]
-            tmpbufs = [bytearray(max(nbytes, 1)) for _ in range(self.size - 1)]
-            build_reduce_scatter_pairwise(
-                sched,
-                self.rank,
-                self.size,
-                sendbuf,
-                accbuf,
-                tmpbufs,
-                count,
-                datatype,
-                op,
-            )
-            from repro.coll.algorithms.util import copy_fn
-
-            deps = [v.index for v in sched.vertices]
-            sched.add_local(
-                copy_fn(accbuf, recvbuf, nbytes), deps=deps, label="out"
-            )
-            return self._submit(sched)
-        # Non-commutative: rank-ordered reduce to rank 0, then scatter —
-        # composed into one schedule so it stays a single collective.
-        total = self.size * count
-        total_bytes = total * datatype.size
-        accbuf = bytearray(max(total_bytes, 1))
-        accbuf[:total_bytes] = as_readonly_view(sendbuf)[:total_bytes]
-        n_tmp = self.size
-        tmpbufs = [bytearray(max(total_bytes, 1)) for _ in range(n_tmp)]
-        build_reduce_binomial(
-            sched, self.rank, self.size, 0, accbuf, tmpbufs, total, datatype, op
+        planner = (
+            plan_reduce_scatter_pairwise
+            if op.commutative
+            else plan_reduce_scatter_ordered
         )
-        reduce_deps = [v.index for v in sched.vertices]
-        displs = [i * count for i in range(self.size)]
-        if self.rank == 0:
-            # scatter accbuf blocks; sends must wait for the reduction.
-            from repro.coll.algorithms.util import copy_fn
-
-            sched.add_local(
-                copy_fn(accbuf, recvbuf, nbytes), deps=reduce_deps, label="own"
-            )
-            esize = datatype.size
-            for peer in range(1, self.size):
-                view = memoryview(accbuf)[
-                    displs[peer] * esize : (displs[peer] + count) * esize
-                ]
-                sched.add_send(peer, view, nbytes, BYTE, deps=reduce_deps)
-        else:
-            sched.add_recv(0, recvbuf, nbytes, BYTE)
-        return self._submit(sched)
+        plan = plan_for(self, planner, op, nbytes=count * datatype.size)
+        return self.start_plan(plan, recvbuf, count, datatype, sendbuf)
 
     def iscan(
         self, sendbuf, recvbuf, count: int, datatype: Datatype, op: Op = SUM
@@ -780,12 +716,8 @@ class Comm:
         nbytes = count * datatype.size
         if sendbuf is not IN_PLACE:
             as_writable_view(recvbuf)[:nbytes] = as_readonly_view(sendbuf)[:nbytes]
-        sched = self._new_sched()
-        tmpbuf = bytearray(max(nbytes, 1))
-        build_scan_chain(
-            sched, self.rank, self.size, recvbuf, tmpbuf, count, datatype, op
-        )
-        return self._submit(sched)
+        plan = plan_for(self, plan_scan_chain, op, nbytes=nbytes)
+        return self.start_plan(plan, recvbuf, count, datatype)
 
     def iexscan(
         self, sendbuf, recvbuf, count: int, datatype: Datatype, op: Op = SUM
@@ -793,19 +725,14 @@ class Comm:
         """Nonblocking exclusive prefix reduction (recvbuf untouched on
         rank 0, per MPI)."""
         self._check()
-        nbytes = count * datatype.size
-        own = bytes(
-            as_readonly_view(recvbuf if sendbuf is IN_PLACE else sendbuf)[:nbytes]
-        )
-        sched = self._new_sched()
-        tmpbuf = bytearray(max(nbytes, 1))
-        build_exscan_chain(
-            sched, self.rank, self.size, recvbuf, own, tmpbuf, count, datatype, op
-        )
-        return self._submit(sched)
+        if sendbuf is IN_PLACE:
+            sendbuf = recvbuf
+        plan = plan_for(self, plan_exscan_chain, op, nbytes=count * datatype.size)
+        return self.start_plan(plan, recvbuf, count, datatype, sendbuf)
 
     # ------------------------------------------------------------------
-    # Vector collectives.
+    # Vector collectives: counts and displacements are in elements and
+    # part of the (exact) plan, hence of its cache key.
     # ------------------------------------------------------------------
     def iallgatherv(
         self,
@@ -826,11 +753,8 @@ class Comm:
             view[lo : lo + sendcount * esize] = as_readonly_view(sendbuf)[
                 : sendcount * esize
             ]
-        sched = self._new_sched()
-        build_allgatherv_ring(
-            sched, self.rank, self.size, recvbuf, counts, displs, datatype
-        )
-        return self._submit(sched)
+        plan = plan_for(self, plan_allgatherv_ring, tuple(counts), tuple(displs))
+        return self.start_plan(plan, recvbuf, 0, datatype)
 
     def igatherv(
         self,
@@ -844,20 +768,14 @@ class Comm:
     ) -> Request:
         self._check()
         self._world_rank(root)
-        sched = self._new_sched()
-        build_gatherv_linear(
-            sched,
-            self.rank,
-            self.size,
-            root,
-            sendbuf,
-            sendcount,
-            recvbuf,
-            counts,
-            displs,
-            datatype,
-        )
-        return self._submit(sched)
+        if self.rank == root:
+            plan = plan_for(
+                self, plan_gatherv_linear, root, sendcount, tuple(counts), tuple(displs)
+            )
+        else:  # counts/displs are only significant at the root
+            plan = plan_for(self, plan_gatherv_linear, root, sendcount, (), ())
+            recvbuf = None
+        return self.start_plan(plan, recvbuf, 0, datatype, sendbuf)
 
     def iscatterv(
         self,
@@ -871,20 +789,14 @@ class Comm:
     ) -> Request:
         self._check()
         self._world_rank(root)
-        sched = self._new_sched()
-        build_scatterv_linear(
-            sched,
-            self.rank,
-            self.size,
-            root,
-            sendbuf,
-            counts,
-            displs,
-            recvbuf,
-            recvcount,
-            datatype,
-        )
-        return self._submit(sched)
+        if self.rank == root:
+            plan = plan_for(
+                self, plan_scatterv_linear, root, tuple(counts), tuple(displs), recvcount
+            )
+        else:  # counts/displs are only significant at the root
+            plan = plan_for(self, plan_scatterv_linear, root, (), (), recvcount)
+            sendbuf = None
+        return self.start_plan(plan, recvbuf, 0, datatype, sendbuf)
 
     def ialltoallv(
         self,
@@ -897,20 +809,15 @@ class Comm:
         datatype: Datatype,
     ) -> Request:
         self._check()
-        sched = self._new_sched()
-        build_alltoallv_pairwise(
-            sched,
-            self.rank,
-            self.size,
-            sendbuf,
-            sendcounts,
-            sdispls,
-            recvbuf,
-            recvcounts,
-            rdispls,
-            datatype,
+        plan = plan_for(
+            self,
+            plan_alltoallv_pairwise,
+            tuple(sendcounts),
+            tuple(sdispls),
+            tuple(recvcounts),
+            tuple(rdispls),
         )
-        return self._submit(sched)
+        return self.start_plan(plan, recvbuf, 0, datatype, sendbuf)
 
     # ------------------------------------------------------------------
     # Collectives: blocking wrappers.
@@ -1166,9 +1073,9 @@ class Comm:
             p2p.sweep_revoked(
                 self.stream.vci, (self.context_id, self.coll_context_id), exc
             )
-            for sched in list(proc.coll_engine.work_list(self.stream.vci)):
-                if sched.context_id == self.coll_context_id:
-                    sched.abort(exc)
+            for executor in list(proc.coll_engine.work_list(self.stream.vci)):
+                if executor.comm is self:
+                    executor.abort(exc)
             for r, world in enumerate(self.ranks):
                 if r != self._rank:
                     p2p.post_revoke(

@@ -25,6 +25,7 @@ from repro.core.greq import GeneralizedRequest, grequest_complete, grequest_star
 from repro.core.progress import ProgressEngine, ProgressState
 from repro.core.request import Request
 from repro.core.stream import STREAM_NULL, MpixStream, StreamNullType
+from repro.coll.plan import PlanCache
 from repro.coll.sched import CollSchedEngine
 from repro.datatype.engine import DatatypeEngine
 from repro.errors import (
@@ -95,10 +96,8 @@ class Proc:
         self._pending_async = AtomicCounter(0)
         self.finalized = False
 
-        # Compiled-schedule plan cache + per-stream fused schedule
-        # chains (imported here: schedule_ext type-checks against Proc).
-        from repro.exts.schedule_ext import PlanCache
-
+        # Compiled-collective plan cache + the MPIX_Schedule
+        # comparator's per-stream fused chains.
         self.plan_cache = PlanCache.from_config(self.config)
         self._schedule_chains: dict[int, Any] = {}
         self._schedule_chain_lock = _sync.make_lock(f"proc{rank}.schedchains")

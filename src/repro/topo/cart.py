@@ -188,7 +188,6 @@ class CartComm(Comm):
         """Exchange a distinct ``count``-element block with every
         neighbor: block i of ``sendbuf`` goes to neighbor i, block i of
         ``recvbuf`` receives from neighbor i."""
-        from repro.coll.algorithms.util import stage_block
         from repro.datatype.types import as_readonly_view
 
         neighbors = self.neighbors()
@@ -208,7 +207,7 @@ class CartComm(Comm):
         for i, peer in enumerate(neighbors):
             if peer == PROC_NULL:
                 continue
-            block = stage_block(sview, i * nbytes, nbytes)
+            block = sview[i * nbytes : (i + 1) * nbytes]
             reqs.append(super().isend(block, count, datatype, peer, tag))
         return _combine(reqs)
 

@@ -2,18 +2,20 @@
 
 One more proof of section 4.7's extensibility claim: the ring pattern
 (p-1 forwarding rounds) compiled once per comm shape by
-:func:`~repro.exts.schedule_ext.plan_allgather` — block offsets are
-pre-resolved in block units, scaled to the concrete ``count`` at bind
-time — and replayed from the plan cache.
+:func:`~repro.coll.algorithms.plan_allgather_ring` — the planner behind
+``Comm.iallgather``; block offsets are pre-resolved in block units,
+scaled to the concrete ``count`` at bind time — and replayed from the
+plan cache.
 """
 
 from __future__ import annotations
 
+from repro.coll.algorithms import plan_allgather_ring
+from repro.coll.plan import plan_for
 from repro.core.comm import Comm
 from repro.core.request import Request
 from repro.core.stream import STREAM_NULL, MpixStream, StreamNullType
 from repro.datatype.types import Datatype
-from repro.exts.schedule_ext import count_bucket, plan_allgather
 from repro.usercoll.allreduce import _launch
 
 __all__ = ["user_iallgather", "user_allgather"]
@@ -32,22 +34,7 @@ def user_iallgather(
     ``comm.rank`` must already contain the local contribution
     (IN_PLACE-style, like Listing 1.8's in-place restriction).
     """
-    if comm.size == 1:
-        done_req = Request("user-allgather")
-        done_req.complete(count_bytes=count * datatype.size)
-        return done_req
-    rank, size = comm.rank, comm.size
-    key = (
-        comm.comm_key,
-        "allgather",
-        "ring",
-        None,
-        datatype,
-        count_bucket(count * datatype.size),
-    )
-    plan = comm.proc.plan_cache.get_or_build(
-        key, lambda: plan_allgather(rank, size)
-    )
+    plan = plan_for(comm, plan_allgather_ring, nbytes=count * datatype.size)
     return _launch(comm, plan, recvbuf, count, datatype, "user-allgather", stream)
 
 

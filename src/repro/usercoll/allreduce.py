@@ -5,11 +5,13 @@ reduction driven by one MPIX async hook that checks its requests with
 ``MPIX_Request_is_complete`` and posts the next round.  What changed is
 *where the rounds come from*: instead of re-deriving the
 recursive-doubling state machine on every call, the algorithm is
-compiled once per (comm, op, datatype, size-bucket) into a flat-step
-:class:`~repro.exts.schedule_ext.Plan` by :func:`plan_allreduce`, cached
-in ``proc.plan_cache``, and replayed by a
-:class:`~repro.exts.schedule_ext.PlanExecutor` — the hook does one
-batched ``is_complete`` walk per round and zero Python-level planning.
+compiled once per (comm, op, size-bucket) into a flat-step
+:class:`~repro.coll.plan.Plan` by
+:func:`~repro.coll.algorithms.plan_allreduce_recursive_doubling` — the
+planner ``Comm.iallreduce`` uses for short messages — cached in
+``proc.plan_cache``, and replayed by a
+:class:`~repro.coll.plan.PlanExecutor`: the hook does one
+``is_complete`` walk per round and zero Python-level planning.
 
 ``user_allreduce`` / ``my_iallreduce`` generalize the listing: any
 count, basic datatype, reduction op, and communicator size (Rabenseifner
@@ -21,19 +23,18 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.coll.algorithms import plan_allreduce_recursive_doubling
+from repro.coll.algorithms.util import largest_pof2_below
+from repro.coll.plan import Plan, PlanExecutor, plan_for
+from repro.core.async_ext import ASYNC_DONE
 from repro.core.comm import Comm
 from repro.core.greq import GeneralizedRequest
 from repro.core.request import Request
 from repro.core.stream import STREAM_NULL, MpixStream, StreamNullType
-from repro.coll.algorithms.util import largest_pof2_below
 from repro.datatype.ops import SUM, Op
 from repro.datatype.types import INT, Datatype
 from repro.errors import InvalidArgumentError
-from repro.exts.schedule_ext import (
-    PlanExecutor,
-    count_bucket,
-    plan_allreduce,
-)
+from repro.p2p.protocol import FT_RESERVED_TAG
 
 __all__ = ["my_allreduce", "my_iallreduce", "user_allreduce"]
 
@@ -45,7 +46,9 @@ _TAG_WINDOW = 1 << 20
 
 def _user_coll_tag(comm: Comm) -> int:
     """Per-comm tag sequence for user-level collectives, drawn from the
-    top of the tag space so it cannot collide with application tags.
+    top of the application tag space so it cannot collide with
+    application tags — and kept below ``FT_RESERVED_TAG``, the window a
+    revoke sweep exempts, so a revoke fails an in-flight replay.
 
     The sequence is an :class:`~repro.util.atomic.AtomicCounter`: user
     collectives may be started concurrently from the progress pool's
@@ -53,27 +56,39 @@ def _user_coll_tag(comm: Comm) -> int:
     the same tag.
     """
     seq = comm._user_coll_seq.add(1) - 1
-    window = min(_TAG_WINDOW, comm.proc.config.tag_ub // 2)
-    return comm.proc.config.tag_ub - (seq % max(window, 1))
+    top = min(comm.proc.config.tag_ub, FT_RESERVED_TAG - 1)
+    window = min(_TAG_WINDOW, top // 2)
+    return top - (seq % max(window, 1))
 
 
 def _launch(
     comm: Comm,
-    plan,
+    plan: Plan,
     buf,
     count: int,
     datatype: Datatype,
     kind: str,
     stream: MpixStream | StreamNullType,
 ) -> Request:
-    """Bind ``plan`` to ``buf`` and drive it from the async hook."""
+    """Bind ``plan`` to ``buf`` and drive it from the async hook: the
+    user-level driver of the executor ``Comm.start_plan`` hands to the
+    collective subsystem.  Its poster is the public ``comm.isend`` /
+    ``comm.irecv`` themselves, on a user-collective tag."""
     done_req = Request(kind)
     # Failures during replay (peer fail-stop, revoke) follow the comm's
     # error disposition at wait time, like the built-in collectives.
     done_req.errhandler = comm.errhandler
-    ex = PlanExecutor(plan, comm, buf, count, datatype, _user_coll_tag(comm), done_req)
-    ex.start()
-    if not done_req.is_complete():
+    ex = PlanExecutor(
+        plan,
+        comm,
+        (comm.isend, comm.irecv),
+        _user_coll_tag(comm),
+        buf,
+        count,
+        datatype,
+        done_req,
+    )
+    if ex.start() != ASYNC_DONE:
         comm.proc.async_start(ex.poll, ex, stream)
     return done_req
 
@@ -95,21 +110,8 @@ def user_allreduce(
     Returns a request; complete it with ``comm.proc.wait`` (or poll
     ``request_is_complete`` from your own engine).
     """
-    if comm.size == 1:
-        done_req = Request("user-allreduce")
-        done_req.complete(count_bytes=count * datatype.size)
-        return done_req
-    rank, size = comm.rank, comm.size
-    key = (
-        comm.comm_key,
-        "allreduce",
-        "rd-fold",
-        op,
-        datatype,
-        count_bucket(count * datatype.size),
-    )
-    plan = comm.proc.plan_cache.get_or_build(
-        key, lambda: plan_allreduce(rank, size, op)
+    plan = plan_for(
+        comm, plan_allreduce_recursive_doubling, op, nbytes=count * datatype.size
     )
     return _launch(comm, plan, buf, count, datatype, "user-allreduce", stream)
 

@@ -1,17 +1,19 @@
 """User-level dissemination barrier via the MPIX async extension.
 
 The dissemination pattern is compiled once per comm shape by
-:func:`~repro.exts.schedule_ext.plan_barrier` (zero-byte exchanges at
-doubling strides), cached, and replayed by the shared executor.
+:func:`~repro.coll.algorithms.plan_barrier_dissemination` (zero-byte
+exchanges at doubling strides; the planner behind ``Comm.ibarrier``),
+cached, and replayed by the shared executor.
 """
 
 from __future__ import annotations
 
+from repro.coll.algorithms import plan_barrier_dissemination
+from repro.coll.plan import plan_for
 from repro.core.comm import Comm
 from repro.core.request import Request
 from repro.core.stream import STREAM_NULL, MpixStream, StreamNullType
 from repro.datatype.types import BYTE
-from repro.exts.schedule_ext import plan_barrier
 from repro.usercoll.allreduce import _launch
 
 __all__ = ["user_ibarrier", "user_barrier"]
@@ -21,15 +23,7 @@ def user_ibarrier(
     comm: Comm, stream: MpixStream | StreamNullType = STREAM_NULL
 ) -> Request:
     """Nonblocking user-level dissemination barrier."""
-    if comm.size == 1:
-        done_req = Request("user-barrier")
-        done_req.complete()
-        return done_req
-    rank, size = comm.rank, comm.size
-    key = (comm.comm_key, "barrier", "dissem", None, None, 0)
-    plan = comm.proc.plan_cache.get_or_build(
-        key, lambda: plan_barrier(rank, size)
-    )
+    plan = plan_for(comm, plan_barrier_dissemination)
     return _launch(comm, plan, None, 0, BYTE, "user-barrier", stream)
 
 

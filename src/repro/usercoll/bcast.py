@@ -3,18 +3,20 @@
 Demonstrates that arbitrary collective patterns — not just the paper's
 allreduce — are expressible as compiled schedules: the binomial tree
 (receive from parent, fan out to the subtree) is planned once per
-(comm, root, size-bucket) by :func:`~repro.exts.schedule_ext.plan_bcast`
-and replayed from the plan cache, synchronized round-by-round with
-``MPIX_Request_is_complete``.
+(comm, root, size-bucket) by
+:func:`~repro.coll.algorithms.plan_bcast_binomial` — the planner
+``Comm.ibcast`` uses for short messages — and replayed from the plan
+cache, synchronized round-by-round with ``MPIX_Request_is_complete``.
 """
 
 from __future__ import annotations
 
+from repro.coll.algorithms import plan_bcast_binomial
+from repro.coll.plan import plan_for
 from repro.core.comm import Comm
 from repro.core.request import Request
 from repro.core.stream import STREAM_NULL, MpixStream, StreamNullType
 from repro.datatype.types import Datatype
-from repro.exts.schedule_ext import count_bucket, plan_bcast
 from repro.usercoll.allreduce import _launch
 
 __all__ = ["user_ibcast", "user_bcast"]
@@ -29,23 +31,7 @@ def user_ibcast(
     stream: MpixStream | StreamNullType = STREAM_NULL,
 ) -> Request:
     """Nonblocking user-level binomial broadcast; returns a request."""
-    if comm.size == 1:
-        done_req = Request("user-bcast")
-        done_req.complete(count_bytes=count * datatype.size)
-        return done_req
-    rank, size = comm.rank, comm.size
-    key = (
-        comm.comm_key,
-        "bcast",
-        "binomial",
-        None,
-        datatype,
-        count_bucket(count * datatype.size),
-        root,
-    )
-    plan = comm.proc.plan_cache.get_or_build(
-        key, lambda: plan_bcast(rank, size, root)
-    )
+    plan = plan_for(comm, plan_bcast_binomial, root, nbytes=count * datatype.size)
     return _launch(comm, plan, buf, count, datatype, "user-bcast", stream)
 
 

@@ -217,36 +217,27 @@ class TestAllgather:
 
     @pytest.mark.parametrize("size", [1, 2, 4, 8])
     def test_recursive_doubling_matches_ring(self, size):
-        from repro.coll.algorithms import build_allgather_recursive_doubling
-        from repro.coll.sched import Sched
+        from repro.coll.algorithms import plan_allgather_recursive_doubling
 
         world = make_vworld(size, use_shmem=False)
         outs = {}
         reqs = []
         for r in range(size):
-            proc = world.proc(r)
             out = np.zeros(size, dtype="i4")
             out[r] = r + 10
             outs[r] = out
-            sched = Sched(proc.p2p, 0, proc.comm_world.coll_context_id, 0)
-            build_allgather_recursive_doubling(sched, r, size, out, 1, repro.INT)
-            reqs.append(proc.coll_engine.submit(sched))
+            plan = plan_allgather_recursive_doubling(r, size)
+            reqs.append(world.proc(r).comm_world.start_plan(plan, out, 1, repro.INT))
         drive(world, reqs)
         expect = np.arange(size, dtype="i4") + 10
         for r in range(size):
             assert np.array_equal(outs[r], expect)
 
     def test_recursive_doubling_rejects_non_pof2(self):
-        from repro.coll.algorithms import build_allgather_recursive_doubling
-        from repro.coll.sched import Sched
+        from repro.coll.algorithms import plan_allgather_recursive_doubling
 
-        world = make_vworld(3, use_shmem=False)
-        proc = world.proc(0)
-        sched = Sched(proc.p2p, 0, 100, 0)
         with pytest.raises(ValueError):
-            build_allgather_recursive_doubling(
-                sched, 0, 3, np.zeros(3, "i4"), 1, repro.INT
-            )
+            plan_allgather_recursive_doubling(0, 3)
 
 
 class TestAlltoall:

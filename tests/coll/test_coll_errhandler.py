@@ -18,6 +18,7 @@ import pytest
 import repro
 from repro.core.comm import ERRORS_RETURN
 from repro.errors import MpiError
+from repro.usercoll import user_allreduce, user_ibcast
 from tests.conftest import make_vworld
 from tests.ft.test_detector import drive_until
 
@@ -92,3 +93,35 @@ class TestCallableErrhandlerFiresOnce:
         p0.wait(req)  # must not raise
         assert req.exception is not None
         assert req.status.error != 0
+
+
+@pytest.mark.parametrize("driver", ["native", "user"])
+class TestBothDriversFireOnce:
+    """The same split-brain failure through either driver of the plan
+    executor: one errhandler call per rank per failed collective."""
+
+    def test_bcast(self, driver):
+        def start(comm):
+            buf = np.zeros(4, dtype="i4")
+            if driver == "native":
+                return comm.ibcast(buf, 4, repro.INT, root=0)
+            return user_ibcast(comm, buf, 4, repro.INT, 0)
+
+        world, reqs, calls = _failing_collective(start)
+        for r in (0, 1):
+            assert isinstance(reqs[r].exception, MpiError), f"rank {r} never failed"
+            assert len(calls[r]) == 1, (r, calls[r])
+            assert world.proc(r).p2p.pool.stats()["outstanding"] == 0
+
+    def test_allreduce(self, driver):
+        def start(comm):
+            buf = np.full(64, comm.rank + 1, dtype="i4")
+            if driver == "native":
+                return comm.iallreduce(repro.IN_PLACE, buf, 64, repro.INT, repro.SUM)
+            return user_allreduce(comm, buf, 64, repro.INT, repro.SUM)
+
+        world, reqs, calls = _failing_collective(start)
+        for r in (0, 1):
+            assert isinstance(reqs[r].exception, MpiError), f"rank {r} never failed"
+            assert len(calls[r]) == 1, (r, calls[r])
+            assert world.proc(r).p2p.pool.stats()["outstanding"] == 0

@@ -1,105 +1,149 @@
-"""Collective schedule machinery: DAG execution, dependencies, engine."""
+"""Collective schedule machinery: hand-built plans through the native
+driver — round order, posting, rank/VCI translation, and the engine."""
 
 import numpy as np
 
 import repro
-from repro.coll.sched import CollSchedEngine, Sched
+from repro.coll.plan import (
+    BUF_STAGE,
+    BUF_USER,
+    CopyStep,
+    Plan,
+    PlanRound,
+    RecvStep,
+    ReduceStep,
+    SendStep,
+)
+from repro.coll.sched import CollSchedEngine
+from repro.core.comm import Comm
 from tests.conftest import drive, make_vworld
 
 
-def make_sched(world, rank, tag=0):
-    proc = world.proc(rank)
-    return Sched(proc.p2p, 0, proc.comm_world.coll_context_id, tag)
+def recording_op(order, label):
+    """A reduction that leaves the data alone and logs that it ran."""
+
+    def kernel(src, dst):
+        order.append(label)
+        return dst
+
+    return repro.user_op(kernel, name=label)
+
+
+def local_round(order, label):
+    return PlanRound(locals=(ReduceStep(recording_op(order, label), BUF_USER, BUF_USER),))
+
+
+def start(world, rank, plan, buf=None, count=1):
+    if buf is None:
+        buf = np.zeros(count, dtype="i4")
+    return world.proc(rank).comm_world.start_plan(plan, buf, count, repro.INT)
 
 
 class TestSchedBuild:
     def test_empty_sched_completes_at_start(self):
         world = make_vworld(1)
-        sched = make_sched(world, 0)
-        req = sched.start()
+        req = start(world, 0, Plan("empty", []))
         assert req.is_complete()
 
     def test_local_vertices_run_in_dependency_order(self):
+        """Rounds run in order; local-only rounds retire at start."""
         world = make_vworld(1)
-        sched = make_sched(world, 0)
         order = []
-        a = sched.add_local(lambda: order.append("a"))
-        b = sched.add_local(lambda: order.append("b"), deps=[a])
-        c = sched.add_local(lambda: order.append("c"), deps=[b])
-        sched.start()
+        plan = Plan("locals", [local_round(order, x) for x in "abc"])
+        req = start(world, 0, plan)
         assert order == ["a", "b", "c"]
-        assert sched.done
+        assert req.is_complete()
 
     def test_diamond_dependencies(self):
-        world = make_vworld(1)
-        sched = make_sched(world, 0)
-        order = []
-        a = sched.add_local(lambda: order.append("a"))
-        b = sched.add_local(lambda: order.append("b"), deps=[a])
-        c = sched.add_local(lambda: order.append("c"), deps=[a])
-        sched.add_local(lambda: order.append("d"), deps=[b, c])
-        sched.start()
-        assert order[0] == "a" and order[-1] == "d"
-        assert set(order[1:3]) == {"b", "c"}
+        """a -> (send, recv) -> d: the round's two comms both complete
+        before its locals run, and the locals run in listed order."""
+        world = make_vworld(2, use_shmem=False)
+        orders = {0: [], 1: []}
+        bufs = {r: np.array([r + 1], dtype="i4") for r in (0, 1)}
+        reqs = []
+        for r in (0, 1):
+            order = orders[r]
+            plan = Plan(
+                "diamond",
+                [
+                    local_round(order, "a"),
+                    PlanRound(
+                        comms=(RecvStep(1 - r, BUF_STAGE), SendStep(1 - r)),
+                        locals=(
+                            ReduceStep(recording_op(order, "d1"), BUF_STAGE, BUF_USER),
+                            CopyStep(BUF_STAGE, BUF_USER),
+                            ReduceStep(recording_op(order, "d2"), BUF_STAGE, BUF_USER),
+                        ),
+                    ),
+                ],
+                stage_blocks=1,
+            )
+            reqs.append(start(world, r, plan, bufs[r]))
+        drive(world, reqs)
+        for r in (0, 1):
+            assert orders[r] == ["a", "d1", "d2"]
+            assert bufs[r][0] == 2 - r  # the peer's value arrived first
 
     def test_barrier_vertex(self):
+        """A round with nothing in it is a pure gate."""
         world = make_vworld(1)
-        sched = make_sched(world, 0)
-        hits = []
-        a = sched.add_local(lambda: hits.append(1))
-        b = sched.add_local(lambda: hits.append(2))
-        sched.add_barrier_on([a, b])
-        sched.start()
-        assert sched.done
+        order = []
+        plan = Plan(
+            "gate", [local_round(order, "a"), PlanRound(), local_round(order, "b")]
+        )
+        req = start(world, 0, plan)
+        assert req.is_complete()
+        assert order == ["a", "b"]
 
 
 class TestSchedCommunication:
     def test_send_recv_pair(self):
         world = make_vworld(2, use_shmem=False)
-        s0 = make_sched(world, 0)
-        s1 = make_sched(world, 1)
-        data = np.array([42], dtype="i4")
         out = np.zeros(1, dtype="i4")
-        s0.add_send(1, data, 1, repro.INT)
-        s1.add_recv(0, out, 1, repro.INT)
-        r0 = world.proc(0).coll_engine.submit(s0)
-        r1 = world.proc(1).coll_engine.submit(s1)
+        r0 = start(
+            world, 0, Plan("s", [PlanRound(comms=(SendStep(1),))]), np.array([42], "i4")
+        )
+        r1 = start(world, 1, Plan("r", [PlanRound(comms=(RecvStep(0),))]), out)
         drive(world, [r0, r1])
         assert out[0] == 42
 
     def test_chained_rounds(self):
-        """send -> recv -> local -> send models one collective round."""
+        """send + recv -> local models one collective round."""
         world = make_vworld(2, use_shmem=False)
-        s0 = make_sched(world, 0)
-        s1 = make_sched(world, 1)
-        v0 = np.array([1], dtype="i4")
-        v1 = np.array([10], dtype="i4")
-        t0 = np.zeros(1, dtype="i4")
-        t1 = np.zeros(1, dtype="i4")
-        # both ranks: exchange, then add
-        for sched, mine, tmp, peer in ((s0, v0, t0, 1), (s1, v1, t1, 0)):
-            snd = sched.add_send(peer, mine, 1, repro.INT)
-            rcv = sched.add_recv(peer, tmp, 1, repro.INT)
-            sched.add_local(
-                (lambda m, t: lambda: m.__iadd__(t))(mine, tmp), deps=[snd, rcv]
+        vals = [np.array([1], dtype="i4"), np.array([10], dtype="i4")]
+        reqs = []
+        for r in (0, 1):
+            plan = Plan(
+                "exchange-add",
+                [
+                    PlanRound(
+                        comms=(RecvStep(1 - r, BUF_STAGE), SendStep(1 - r)),
+                        locals=(ReduceStep(repro.SUM, BUF_STAGE, BUF_USER),),
+                    )
+                ],
+                stage_blocks=1,
             )
-        r0 = world.proc(0).coll_engine.submit(s0)
-        r1 = world.proc(1).coll_engine.submit(s1)
-        drive(world, [r0, r1])
-        assert v0[0] == 11 and v1[0] == 11
+            reqs.append(start(world, r, plan, vals[r]))
+        drive(world, reqs)
+        assert vals[0][0] == 11 and vals[1][0] == 11
+        for r in (0, 1):
+            assert world.proc(r).p2p.pool.stats()["outstanding"] == 0
 
     def test_rank_map_translation(self):
-        """Schedules with a rank map reach the right world ranks."""
+        """Plans speak comm ranks; the poster reaches the right world
+        ranks."""
         world = make_vworld(3, use_shmem=False)
-        # "communicator" = world ranks [2, 0]; comm rank 0 -> world 2
+        # communicator = world ranks [2, 0]; comm rank 0 -> world 2
         p2, p0 = world.proc(2), world.proc(0)
-        s_a = Sched(p2.p2p, 0, 100, 0, rank_map=[2, 0])
-        s_b = Sched(p0.p2p, 0, 100, 0, rank_map=[2, 0])
+        ca = Comm(p2, [2, 0], 100, p2.default_stream)
+        cb = Comm(p0, [2, 0], 100, p0.default_stream)
         out = np.zeros(1, dtype="i4")
-        s_a.add_send(1, np.array([7], dtype="i4"), 1, repro.INT)  # comm rank 1 == world 0
-        s_b.add_recv(0, out, 1, repro.INT)  # comm rank 0 == world 2
-        ra = p2.coll_engine.submit(s_a)
-        rb = p0.coll_engine.submit(s_b)
+        ra = ca.start_plan(  # comm rank 1 == world 0
+            Plan("s", [PlanRound(comms=(SendStep(1),))]), np.array([7], "i4"), 1, repro.INT
+        )
+        rb = cb.start_plan(  # comm rank 0 == world 2
+            Plan("r", [PlanRound(comms=(RecvStep(0),))]), out, 1, repro.INT
+        )
         drive(world, [ra, rb])
         assert out[0] == 7
 
@@ -113,18 +157,20 @@ class TestCollSchedEngine:
 
     def test_completed_sched_retired(self):
         world = make_vworld(1)
-        engine = world.proc(0).coll_engine
-        sched = make_sched(world, 0)
-        sched.add_local(lambda: None)
-        engine.submit(sched)
-        assert engine.active_count == 0  # retired instantly (all local)
+        start(world, 0, Plan("local", [local_round([], "x")]))
+        assert world.proc(0).coll_engine.active_count == 0  # retired instantly
 
     def test_vci_isolation(self):
         world = make_vworld(2, use_shmem=False)
         proc = world.proc(0)
-        sched = Sched(proc.p2p, 3, 100, 0)  # vci 3
-        sched.add_recv(1, np.zeros(1, "i4"), 1, repro.INT)
-        proc.coll_engine.submit(sched)
-        assert proc.coll_engine.has_work(3)
+        stream = proc.stream_create()
+        comm = Comm(proc, range(2), 100, stream, [stream.vci] * 2)
+        comm.start_plan(
+            Plan("blocked", [PlanRound(comms=(RecvStep(1),))]),
+            np.zeros(1, "i4"),
+            1,
+            repro.INT,
+        )
+        assert proc.coll_engine.has_work(stream.vci)
         assert not proc.coll_engine.has_work(0)
         assert proc.coll_engine.progress(0) is False  # other vci untouched

@@ -1,23 +1,17 @@
 """Schedule IR, planners, plan cache, and replay executor."""
 
 import numpy as np
-import pytest
 
 import repro
 from repro.core.introspect import snapshot
-from repro.exts.schedule_ext import (
-    BUF_STAGE,
-    BUF_USER,
-    K_RECV,
-    K_SEND,
-    PlanCache,
-    count_bucket,
-    plan_allgather,
-    plan_allreduce,
-    plan_barrier,
-    plan_bcast,
+from repro.coll.algorithms import (
+    plan_allgather_ring as plan_allgather,
+    plan_allreduce_recursive_doubling as plan_allreduce,
+    plan_barrier_dissemination as plan_barrier,
+    plan_bcast_binomial as plan_bcast,
 )
-from repro.usercoll import user_allreduce, user_barrier, user_bcast
+from repro.coll.plan import BUF_USER, K_RECV, K_SEND, PlanCache, count_bucket
+from repro.usercoll import user_allreduce
 
 from tests.conftest import drive, make_vworld
 
